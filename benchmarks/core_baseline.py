@@ -6,7 +6,9 @@ once on the chunked event-by-event path and once on the vectorized
 fast-forward path, verifies the two traces are bit-identical, and records
 steps/second, chunk events/second, wall time and peak traced memory for
 each.  A smaller 20k-step *quick* configuration is measured too; CI replays
-it as a throughput regression gate.
+it as a throughput regression gate.  The quick chunked-path steps/second
+(:func:`chunked_steps_per_sec`) is also the host-speed denominator the
+fleet and serve baselines normalize their throughput by.
 
 Run with::
 
@@ -68,6 +70,16 @@ def _run_once(total_steps: int, fast_forward: bool, trace_memory: bool = False):
         _, peak_bytes = tracemalloc.get_traced_memory()
         tracemalloc.stop()
     return session, trace, wall, peak_bytes
+
+
+def chunked_steps_per_sec() -> float:
+    """Best-of-five chunked-path steps/sec of the quick reference session:
+    a pure-Python event-loop rate that tracks the host's speed."""
+    rates = []
+    for _ in range(5):
+        _, trace, wall, _ = _run_once(QUICK_STEPS, fast_forward=False)
+        rates.append(trace.total_steps / wall)
+    return max(rates)
 
 
 def _measure(total_steps: int, fast_forward: bool) -> dict:

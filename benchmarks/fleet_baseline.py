@@ -3,28 +3,24 @@
 Runs the *reference fleet* — the ``revocation_storm`` scenario scaled to
 100 concurrent jobs (3 K80 workers each in europe-west1, launched into the
 Fig. 9 late-morning revocation peak, pool of 4 slots per job, queued
-replacements) — under both fleet schedulers:
+replacements) — through the wake-set fleet loop, and records fleet
+events/sec, simulated steps/sec, wall-clock, and peak traced memory for
+the ``trace_level`` full/summary modes.  Fleet steps/sec is divided by the
+chunked single-session steps/sec of the core baseline's reference session
+(:func:`core_baseline.chunked_steps_per_sec`), measured in the same
+process, so the gated ratio tracks the fleet loop rather than the host.
 
-* ``wakeset`` (default): the event-ownership scheduler — O(1) driver work
-  per simulator event;
-* ``roundrobin``: the original PR 3 fleet loop, kept behind
-  ``REPRO_FLEET_SCHEDULER=roundrobin`` as the bit-identical-payload
-  reference, including the old per-offer cost model (one heap peek plus an
-  O(workers) id-set probe per job per event, no disturbance-horizon
-  cache).
-
-It verifies the payload contracts — bit-identical fleet payloads across
-scheduler choice, simulation core path (``REPRO_CORE_FASTFORWARD``), sweep
-worker count, and trace level — and records fleet events/sec, wall-clock,
-and peak traced memory for the ``trace_level`` full/summary modes.
+It also verifies the payload contracts: bit-identical fleet payloads
+across simulation core path (``REPRO_CORE_FASTFORWARD``), sweep worker
+count, trace level, and telemetry attachment.
 
 Run with::
 
     python benchmarks/fleet_baseline.py            # full baseline, writes JSON
     python benchmarks/fleet_baseline.py --quick    # quick config only, no write
     python benchmarks/fleet_baseline.py --quick --check
-        # measure the quick config and fail (exit 1) if the wakeset-vs-
-        # roundrobin events/sec ratio regressed more than 30% against the
+        # measure the quick config and fail (exit 1) if the host-normalized
+        # fleet steps/sec ratio regressed more than 30% against the
         # committed BENCH_fleet.json
     python benchmarks/fleet_baseline.py --quick --json-out out.json
         # also dump the measured numbers (CI uploads these as artifacts)
@@ -41,6 +37,7 @@ import time
 import tracemalloc
 
 from _common import environment_block, make_parser, ratio_gate, write_json
+from core_baseline import chunked_steps_per_sec
 from repro.scenarios.fleet import FleetRun, run_scenario
 from repro.scenarios.spec import JobSpec, ScenarioSpec
 from repro.simulation.rng import RandomStreams
@@ -56,7 +53,7 @@ REFERENCE = {"jobs": 100, "total_steps": 60_000, "workers_per_job": 3,
 #: Quick variant used by the CI smoke gate.
 QUICK_STEPS = 2_000
 
-#: Allowed fractional events/sec-ratio regression before ``--check`` fails.
+#: Allowed fractional steps/sec-ratio regression before ``--check`` fails.
 REGRESSION_TOLERANCE = 0.30
 
 #: Timing repetitions (the best run is recorded, damping scheduler noise).
@@ -94,10 +91,10 @@ def scaled_storm(jobs: int, total_steps: int) -> ScenarioSpec:
         epoch_hour_utc=8.5)
 
 
-def _run_fleet(scenario: ScenarioSpec, scheduler: str,
-               fast_forward=None, trace_level=None, telemetry=None):
+def _run_fleet(scenario: ScenarioSpec, fast_forward=None, trace_level=None,
+               telemetry=None):
     run = FleetRun(scenario, RandomStreams(REFERENCE["seed"]),
-                   scheduler=scheduler, fast_forward=fast_forward,
+                   fast_forward=fast_forward,
                    trace_level=trace_level or "full", telemetry=telemetry)
     started = time.perf_counter()
     payload = run.run()
@@ -105,15 +102,17 @@ def _run_fleet(scenario: ScenarioSpec, scheduler: str,
     return payload, wall, run.events_processed
 
 
-def _measure_scheduler(scenario: ScenarioSpec, scheduler: str):
+def _measure_fleet(scenario: ScenarioSpec):
     best_wall, payload, events = float("inf"), None, 0
     for _ in range(REPETITIONS):
-        payload, wall, events = _run_fleet(scenario, scheduler)
+        payload, wall, events = _run_fleet(scenario)
         best_wall = min(best_wall, wall)
+    steps = sum(job["steps_done"] for job in payload["jobs"])
     return {
         "wall_seconds": round(best_wall, 3),
         "events_processed": events,
         "events_per_sec": round(events / best_wall, 1),
+        "steps_per_sec": round(steps / best_wall, 1),
     }, payload
 
 
@@ -127,8 +126,7 @@ def _peak_traced_mb(scenario: ScenarioSpec, trace_level: str,
             spool_dir=spool_dir, chunk_rows=telemetry_chunk_rows))
     tracemalloc.start()
     try:
-        payload, _, _ = _run_fleet(scenario, "wakeset",
-                                   trace_level=trace_level,
+        payload, _, _ = _run_fleet(scenario, trace_level=trace_level,
                                    telemetry=telemetry)
         if telemetry is not None:
             telemetry.close()
@@ -140,20 +138,17 @@ def _peak_traced_mb(scenario: ScenarioSpec, trace_level: str,
     return round(peak / (1024.0 * 1024.0), 3), payload
 
 
-def _measure_pair(total_steps: int, identity_steps: int) -> dict:
-    """Measure both schedulers and verify every payload contract."""
+def _measure(total_steps: int, identity_steps: int) -> dict:
+    """Measure the reference fleet and verify every payload contract."""
     scenario = scaled_storm(REFERENCE["jobs"], total_steps)
-    wakeset, payload_wakeset = _measure_scheduler(scenario, "wakeset")
-    roundrobin, payload_roundrobin = _measure_scheduler(scenario, "roundrobin")
-    assert payload_wakeset == payload_roundrobin, \
-        "wake-set payload diverged from the round-robin reference"
+    fleet_rates, payload = _measure_fleet(scenario)
+    session_steps_per_sec = round(chunked_steps_per_sec(), 1)
 
     # The expensive identity axes run on a smaller fleet: the chunked core
     # path simulates every step event-by-event.
     identity_scenario = scaled_storm(REFERENCE["jobs"], identity_steps)
-    reference_payload, _, _ = _run_fleet(identity_scenario, "wakeset")
-    chunked_payload, _, _ = _run_fleet(identity_scenario, "roundrobin",
-                                       fast_forward=False)
+    reference_payload, _, _ = _run_fleet(identity_scenario)
+    chunked_payload, _, _ = _run_fleet(identity_scenario, fast_forward=False)
     assert chunked_payload == reference_payload, \
         "chunked-core payload diverged from the fast-forward payload"
     serial = run_scenario(identity_scenario, replicates=2, seed=7, workers=1)
@@ -185,13 +180,13 @@ def _measure_pair(total_steps: int, identity_steps: int) -> dict:
 
     return {
         "total_steps_per_job": total_steps,
-        "wakeset": wakeset,
-        "roundrobin": roundrobin,
-        "speedup_events_per_sec": round(
-            wakeset["events_per_sec"] / roundrobin["events_per_sec"], 2),
+        "throughput": fleet_rates,
+        "chunked_session_steps_per_sec": session_steps_per_sec,
+        "steps_per_sec_vs_chunked_session": round(
+            fleet_rates["steps_per_sec"] / session_steps_per_sec, 3),
         "bit_identical_payloads": {
-            "scheduler": True, "core_path": True, "sweep_workers": True,
-            "trace_level": True,
+            "core_path": True, "sweep_workers": True, "trace_level": True,
+            "telemetry": True,
         },
         "peak_traced_mb": {
             "trace_level_full": full_mb,
@@ -203,13 +198,12 @@ def _measure_pair(total_steps: int, identity_steps: int) -> dict:
             "identity_fleet_steps_per_job": identity_steps,
         },
         "fleet": {
-            "jobs": payload_wakeset["jobs_total"],
-            "completed": payload_wakeset["jobs_completed"],
-            "stalled": payload_wakeset["jobs_stalled"],
-            "revocations": payload_wakeset["revocations"],
-            "replacements_admitted": payload_wakeset["replacements_admitted"],
-            "makespan_hours": round(
-                payload_wakeset["makespan_seconds"] / 3600.0, 3),
+            "jobs": payload["jobs_total"],
+            "completed": payload["jobs_completed"],
+            "stalled": payload["jobs_stalled"],
+            "revocations": payload["revocations"],
+            "replacements_admitted": payload["replacements_admitted"],
+            "makespan_hours": round(payload["makespan_seconds"] / 3600.0, 3),
         },
     }
 
@@ -217,27 +211,26 @@ def _measure_pair(total_steps: int, identity_steps: int) -> dict:
 def main(argv=None) -> int:
     parser = make_parser(
         __doc__, output=OUTPUT,
-        check_help="compare the quick wakeset-vs-roundrobin "
-                   "events/sec ratio against a committed baseline "
-                   "(default benchmarks/BENCH_fleet.json) and exit "
-                   "non-zero on a >30%% regression")
+        check_help="compare the quick fleet steps/sec, normalized by "
+                   "the chunked single-session steps/sec, against a "
+                   "committed baseline (default benchmarks/BENCH_fleet.json) "
+                   "and exit non-zero on a >30%% regression")
     args = parser.parse_args(argv)
 
-    quick = _measure_pair(QUICK_STEPS, identity_steps=QUICK_STEPS)
+    quick = _measure(QUICK_STEPS, identity_steps=QUICK_STEPS)
     print(json.dumps({"quick": quick}, indent=2))
     measured = {"quick": quick}
     status = 0
     if args.check is not None:
         status = ratio_gate(
             args.check, quick,
-            ratio_path=("speedup_events_per_sec",),
-            label="wakeset speedup over roundrobin",
-            tolerance=REGRESSION_TOLERANCE,
-            informative_path=("wakeset", "events_per_sec"),
-            informative_label="wakeset events/sec")
+            ratio_path=("steps_per_sec_vs_chunked_session",),
+            label="fleet steps/sec over chunked-session steps/sec",
+            tolerance=REGRESSION_TOLERANCE, precision=3,
+            informative_path=("throughput", "steps_per_sec"),
+            informative_label="fleet steps/sec")
     elif not args.quick:
-        full = _measure_pair(REFERENCE["total_steps"],
-                             identity_steps=QUICK_STEPS)
+        full = _measure(REFERENCE["total_steps"], identity_steps=QUICK_STEPS)
         measured["full"] = full
         baseline = {
             "reference_fleet": REFERENCE,
@@ -245,13 +238,16 @@ def main(argv=None) -> int:
             "quick": quick,
             "environment": environment_block(),
             "note": ("events_per_sec counts processed fleet events (chunk "
-                     "completions + fired heap events) for one 100-job "
-                     "revocation_storm fleet in one process.  Tracked "
-                     "contracts: fleet payloads stay bit-identical across "
-                     "scheduler choice, core path, sweep worker count, and "
-                     "trace level, and the wake-set scheduler stays >= 5x "
-                     "the round-robin reference's events/sec on the full "
-                     "100-job reference fleet.  Regenerate with `python "
+                     "completions + fired heap events) and steps_per_sec "
+                     "simulated training steps for one 100-job "
+                     "revocation_storm fleet in one process; "
+                     "steps_per_sec_vs_chunked_session divides the latter by "
+                     "the chunked-path steps/sec of the core baseline's "
+                     "quick reference session, measured in the same "
+                     "process, and is the gated host-normalized ratio.  "
+                     "Tracked contracts: fleet payloads stay bit-identical "
+                     "across core path, sweep worker count, trace level, "
+                     "and telemetry attachment.  Regenerate with `python "
                      "benchmarks/fleet_baseline.py` on the same host class "
                      "when the fleet loop, session fast-forward, or "
                      "revocation sampler changes."),

@@ -10,23 +10,23 @@ and records:
   invalidated and refilled, like a live fleet would);
 * **p50/p99 latency** of single ``answer`` calls over a sampled slice of
   the same stream;
-* **cold-scoring speedup** of the vectorized score table over the legacy
-  per-option sampling backend (fresh advisors, every option scored once
-  per duration) — the ratio the CI smoke gate tracks, since both
-  backends run the same machine in the same process.
+* **cold-scoring throughput** of a fresh service (empty score table, every
+  option built on first use, each scored once per duration), divided by
+  the chunked single-session steps/sec of the core baseline's reference
+  session (:func:`core_baseline.chunked_steps_per_sec`) measured in the
+  same process — the host-normalized ratio the CI smoke gate tracks.
 
 It also verifies the serve-layer contracts: batch answers bit-identical
-to sequential singles, table and sampling backends bit-identical, and
-decisions deterministic across fresh services.
+to sequential singles, and decisions deterministic across fresh services.
 
 Run with::
 
     python benchmarks/serve_baseline.py            # full baseline, writes JSON
     python benchmarks/serve_baseline.py --quick    # quick config only, no write
     python benchmarks/serve_baseline.py --quick --check
-        # measure the quick config and fail (exit 1) if the table-vs-
-        # sampling cold-scoring speedup regressed more than 30% against
-        # the committed BENCH_serve.json
+        # measure the quick config and fail (exit 1) if the host-normalized
+        # cold-scoring throughput regressed more than 30% against the
+        # committed BENCH_serve.json
     python benchmarks/serve_baseline.py --quick --json-out out.json
         # also dump the measured numbers (CI uploads these as artifacts)
 """
@@ -42,6 +42,7 @@ import time
 import numpy as np
 
 from _common import environment_block, make_parser, ratio_gate, write_json
+from core_baseline import chunked_steps_per_sec
 from repro.modeling.launch_advisor import LaunchAdvisor
 from repro.modeling.placement import PlacementQuery
 from repro.scenarios.pool import TransientPool
@@ -59,8 +60,8 @@ QUICK = {"queries": 50_000, "latency_sample": 5_000,
          "churn_every": 256, "batch": 1_000, "seed": 0,
          "samples_per_option": 400}
 
-#: Allowed fractional cold-scoring-speedup regression before ``--check``
-#: fails.
+#: Allowed fractional regression of the normalized cold-scoring throughput
+#: before ``--check`` fails.
 REGRESSION_TOLERANCE = 0.30
 
 #: The query grid: every combination appears in the replay stream.
@@ -69,7 +70,7 @@ DURATIONS = tuple(float(hours) for hours in range(1, 25))
 UTC_HOURS = tuple(hour / 2.0 for hour in range(48))
 
 #: Cold-scoring workload (the gate): score every (gpu, hour) option at
-#: each duration with a fresh advisor under each backend.
+#: each duration with a fresh advisor.
 COLD_DURATIONS = DURATIONS[:12]
 
 OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -82,14 +83,13 @@ POOL_CAPACITY = {("k80", "us-west1"): 4, ("k80", "europe-west1"): 4,
                  ("v100", "us-west1"): 4, ("v100", "us-central1"): 4}
 
 
-def build_service(config: dict, score_backend: str = "table",
-                  with_pool: bool = True) -> PlacementService:
+def build_service(config: dict, with_pool: bool = True) -> PlacementService:
     pool = None
     if with_pool:
         pool = TransientPool(Simulator(), dict(POOL_CAPACITY),
                              reclaim_seconds=600.0)
     advisor = LaunchAdvisor(samples_per_option=config["samples_per_option"],
-                            seed=config["seed"], score_backend=score_backend)
+                            seed=config["seed"])
     return PlacementService(advisor=advisor, pool=pool)
 
 
@@ -167,25 +167,25 @@ def measure_replay(config: dict) -> dict:
 
 
 def measure_cold_scoring(config: dict) -> dict:
-    """Score the full option grid cold under each backend; gate ratio."""
-    walls = {}
-    for backend in ("table", "sampling"):
-        service = build_service(config, score_backend=backend,
-                                with_pool=False)
-        queries = [PlacementQuery(gpu_name=gpu, duration_hours=duration,
-                                  hour_of_day_utc=hour)
-                   for gpu in GPUS
-                   for duration in COLD_DURATIONS
-                   for hour in UTC_HOURS]
-        started = time.perf_counter()
-        asyncio.run(service.answer_many(queries))
-        walls[backend] = time.perf_counter() - started
+    """Score the full option grid cold; gate the host-normalized rate."""
+    service = build_service(config, with_pool=False)
+    queries = [PlacementQuery(gpu_name=gpu, duration_hours=duration,
+                              hour_of_day_utc=hour)
+               for gpu in GPUS
+               for duration in COLD_DURATIONS
+               for hour in UTC_HOURS]
+    started = time.perf_counter()
+    asyncio.run(service.answer_many(queries))
+    wall = time.perf_counter() - started
+    session_steps_per_sec = chunked_steps_per_sec()
     return {
         "options": len(GPUS) * len(UTC_HOURS),
         "durations": len(COLD_DURATIONS),
-        "table_wall_seconds": round(walls["table"], 3),
-        "sampling_wall_seconds": round(walls["sampling"], 3),
-        "speedup_cold_scoring": round(walls["sampling"] / walls["table"], 2),
+        "wall_seconds": round(wall, 3),
+        "queries_per_sec": round(len(queries) / wall, 1),
+        "chunked_session_steps_per_sec": round(session_steps_per_sec, 1),
+        "queries_per_kilostep": round(
+            1000.0 * len(queries) / wall / session_steps_per_sec, 3),
     }
 
 
@@ -206,19 +206,13 @@ def verify_contracts(config: dict) -> dict:
     singles = asyncio.run(sequential())
     assert batched == singles, "batch decisions diverged from sequential"
 
-    # Table == sampling, decision for decision.
-    sampling_service = build_service(probe, score_backend="sampling")
-    sampled = asyncio.run(
-        sampling_service.answer_many(list(query_stream(probe["queries"]))))
-    assert sampled == batched, "sampling-backend decisions diverged from table"
-
     # Determinism across fresh services.
     again = asyncio.run(build_service(probe).answer_many(
         list(query_stream(probe["queries"]))))
     assert again == batched, "fresh service produced different decisions"
 
-    return {"batch_equals_sequential": True, "table_equals_sampling": True,
-            "deterministic": True, "probe_queries": probe["queries"]}
+    return {"batch_equals_sequential": True, "deterministic": True,
+            "probe_queries": probe["queries"]}
 
 
 def _measure(config: dict) -> dict:
@@ -233,10 +227,11 @@ def _measure(config: dict) -> dict:
 def main(argv=None) -> int:
     parser = make_parser(
         __doc__, output=OUTPUT,
-        check_help="compare the quick table-vs-sampling cold-"
-                   "scoring speedup against a committed baseline "
-                   "(default benchmarks/BENCH_serve.json) and exit "
-                   "non-zero on a >30%% regression")
+        check_help="compare the quick cold-scoring throughput, "
+                   "normalized by the chunked single-session steps/sec, "
+                   "against a committed baseline (default benchmarks/"
+                   "BENCH_serve.json) and exit non-zero on a >30%% "
+                   "regression")
     args = parser.parse_args(argv)
 
     quick = _measure(QUICK)
@@ -246,9 +241,9 @@ def main(argv=None) -> int:
     if args.check is not None:
         status = ratio_gate(
             args.check, quick,
-            ratio_path=("cold_scoring", "speedup_cold_scoring"),
-            label="score-table speedup over sampling",
-            tolerance=REGRESSION_TOLERANCE,
+            ratio_path=("cold_scoring", "queries_per_kilostep"),
+            label="cold-scoring queries per chunked-session kilostep",
+            tolerance=REGRESSION_TOLERANCE, precision=3,
             informative_path=("replay", "queries_per_sec"),
             informative_label="queries/sec")
     elif not args.quick:
@@ -263,11 +258,15 @@ def main(argv=None) -> int:
                      "grid through PlacementService.answer_many batches with "
                      "a pool transition every churn_every queries (decision "
                      "cache repeatedly invalidated); latency percentiles "
-                     "time single answer() awaits.  Tracked contracts: "
-                     "batch == sequential decisions, table == sampling "
-                     "decisions, deterministic replay, and the vectorized "
-                     "score table stays well ahead of the legacy per-"
-                     "option sampler on cold scoring.  Regenerate with "
+                     "time single answer() awaits.  cold_scoring answers "
+                     "the full grid on a fresh service (every score-table "
+                     "option built on first use); queries_per_kilostep "
+                     "divides its queries/sec by the chunked-path steps/sec "
+                     "of the core baseline's quick reference session "
+                     "(per 1000 steps), measured in the same process, and "
+                     "is the gated host-normalized ratio.  Tracked "
+                     "contracts: batch == sequential decisions and "
+                     "deterministic replay.  Regenerate with "
                      "`python benchmarks/serve_baseline.py` on the same "
                      "host class when the advisor, score table, or serve "
                      "layer changes."),

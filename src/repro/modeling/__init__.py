@@ -31,7 +31,7 @@ from repro.modeling.checkpoint_predictor import CheckpointTimePredictor, build_t
 from repro.modeling.revocation_estimator import EmpiricalLifetimeDistribution, RevocationEstimator
 from repro.modeling.training_time import TrainingTimeEstimator, TrainingTimePrediction
 from repro.modeling.cost import ClusterCostModel, CostEstimate
-from repro.modeling.launch_advisor import LaunchAdvisor, LaunchOption
+from repro.modeling.launch_advisor import LaunchAdvisor
 from repro.modeling.placement import (
     PlacementDecision,
     PlacementOption,
@@ -67,7 +67,6 @@ __all__ = [
     "ClusterCostModel",
     "CostEstimate",
     "LaunchAdvisor",
-    "LaunchOption",
     "PlacementQuery",
     "PlacementOption",
     "PlacementDecision",

@@ -16,28 +16,16 @@ All placement questions go through one entry point,
 :class:`~repro.modeling.placement.PlacementQuery` (grid mode: score a
 launch-hour grid offline; live mode: score every candidate region at its
 current local hour) plus an optional pool snapshot, and returns a ranked
-:class:`~repro.modeling.placement.PlacementDecision`.  The five historical
-entry points (``score_option`` / ``rank_options`` / ``place`` /
-``best_feasible`` / ``recommend``) survive as thin deprecation shims over
-``answer()``.
+:class:`~repro.modeling.placement.PlacementDecision`.
 
 Scoring is deterministic — each ``(gpu, region, hour)`` option draws from
 its own stable generator, seeded from the advisor seed and a CRC digest of
 the option itself, independent of call order — so fleet payloads stay
-reproducible and serial/parallel sweep executions stay bit-identical.  Two
-score backends produce **bit-identical** probabilities:
-
-* ``table`` (default) — the vectorized
-  :class:`~repro.modeling.placement.ScoreTable`, which replays each
-  option's sampling tape once, keeps the sorted revoked lifetimes, and
-  answers every duration by rank lookup;
-* ``sampling`` — the legacy per-option scalar Monte-Carlo loop with
-  per-``(gpu, region, hour, duration)`` memoization, kept as the reference
-  implementation.
-
-Select with ``REPRO_PLACEMENT_SCORES=table|sampling`` (payload-neutral by
-construction; fingerprinted by the sweep cache like the other runtime
-knobs) or per advisor via ``score_backend=``.
+reproducible and serial/parallel sweep executions stay bit-identical.  The
+scores come from the vectorized
+:class:`~repro.modeling.placement.ScoreTable`, which replays each option's
+sampling tape once, keeps the sorted revoked lifetimes, and answers every
+duration by rank lookup.
 
 Pool-aware placement
 --------------------
@@ -56,13 +44,7 @@ until the pool actually changes.
 
 from __future__ import annotations
 
-import os
-import warnings
-import zlib
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from repro.cloud.gpus import get_gpu
 from repro.cloud.regions import get_region
@@ -76,57 +58,6 @@ from repro.modeling.placement import (
 )
 from repro.units import hour_bin
 
-#: Environment switch selecting the score backend (``table`` or
-#: ``sampling``).  Both are bit-identical; the knob exists so the legacy
-#: reference path stays deployable (and benchmarkable) without code edits.
-PLACEMENT_SCORES_ENV = "REPRO_PLACEMENT_SCORES"
-
-_SCORE_BACKENDS = ("table", "sampling")
-
-
-@dataclass(frozen=True)
-class LaunchOption:
-    """One scored (region, launch hour) option of the deprecated grid shims.
-
-    New code reads :class:`~repro.modeling.placement.PlacementOption` out
-    of a :class:`~repro.modeling.placement.PlacementDecision` instead.
-
-    Attributes:
-        gpu_name: GPU type being launched.
-        region_name: Candidate region.
-        launch_hour_local: Candidate local launch hour (0-23).
-        revocation_probability: Estimated probability that one worker is
-            revoked before the run completes.
-        expected_revocations: Expected revocations for the whole cluster
-            (``num_workers`` times the per-worker probability).
-    """
-
-    gpu_name: str
-    region_name: str
-    launch_hour_local: int
-    revocation_probability: float
-    expected_revocations: float
-
-#: Historical launch-hour grid of the deprecated ``rank_options`` /
-#: ``recommend`` shims.
-_DEFAULT_LAUNCH_HOURS = (0, 4, 8, 12, 16, 20)
-
-
-def placement_scores_backend() -> str:
-    """The score backend selected by ``REPRO_PLACEMENT_SCORES`` (default
-    ``table``).  Unrecognized values fall back to the default rather than
-    failing a whole fleet run over a typo; advisors constructed with an
-    explicit ``score_backend=`` validate strictly instead."""
-    backend = os.environ.get(PLACEMENT_SCORES_ENV, "").strip().lower()
-    return backend if backend in _SCORE_BACKENDS else "table"
-
-
-def _deprecated(old: str, instead: str) -> None:
-    warnings.warn(
-        f"LaunchAdvisor.{old} is deprecated; use LaunchAdvisor.answer"
-        f"({instead}) instead",
-        DeprecationWarning, stacklevel=3)
-
 
 class LaunchAdvisor:
     """Scores candidate regions and launch hours for a transient cluster.
@@ -136,54 +67,23 @@ class LaunchAdvisor:
             calibrated default model when omitted.
         samples_per_option: Monte-Carlo samples per (region, hour) option.
         seed: Seed the per-option generators derive from.
-        score_backend: ``"table"`` or ``"sampling"`` (see the module
-            docstring); ``None`` reads ``REPRO_PLACEMENT_SCORES``.
     """
 
     def __init__(self, revocation_model: Optional[RevocationModel] = None,
-                 samples_per_option: int = 400, seed: int = 0,
-                 score_backend: Optional[str] = None):
+                 samples_per_option: int = 400, seed: int = 0):
         if samples_per_option < 10:
             raise ConfigurationError("samples_per_option must be at least 10")
-        if score_backend is None:
-            score_backend = placement_scores_backend()
-        elif score_backend not in _SCORE_BACKENDS:
-            raise ConfigurationError(
-                f"unknown score backend {score_backend!r}; "
-                f"expected one of {_SCORE_BACKENDS}")
-        self.score_backend = score_backend
-        self._model_template = revocation_model
         self.samples_per_option = samples_per_option
         self.seed = seed
         self._table = ScoreTable(revocation_model,
                                  samples=samples_per_option, seed=seed)
-        #: Sampling-backend memo per (gpu, region, hour, duration); the
-        #: table backend needs none (the score table is duration-agnostic).
-        self._probability_cache = {}
-
-    def _model_for(self, option_index: int) -> RevocationModel:
-        rng = np.random.default_rng(self.seed * 9973 + option_index)
-        if self._model_template is None:
-            return RevocationModel(rng=rng)
-        # Re-instantiate with the same calibration but an option-specific
-        # generator so options are scored independently and reproducibly.
-        return RevocationModel(rng=rng,
-                               calibration=dict(self._model_template._calibration),
-                               hourly_weights=dict(self._model_template._hourly_weights))
 
     @property
     def score_table(self) -> ScoreTable:
-        """The advisor's vectorized score table.
-
-        Always present (even under the sampling backend, which ignores
-        it), so the serve layer can pre-warm every ``(gpu, region, hour)``
-        option at startup regardless of backend.
-        """
+        """The advisor's vectorized score table (the serve layer pre-warms
+        every ``(gpu, region, hour)`` option of it at startup)."""
         return self._table
 
-    # ------------------------------------------------------------------
-    # Scoring primitives.
-    # ------------------------------------------------------------------
     def revocation_score(self, gpu_name: str, region_name: str,
                          launch_hour_local: int, duration_hours: float) -> float:
         """Per-worker revocation probability for one option.
@@ -191,54 +91,10 @@ class LaunchAdvisor:
         Each ``(gpu, region, hour)`` option samples from its own stable
         generator (seeded from the advisor seed and a digest of the option
         itself, independent of call order), so repeated placement queries
-        during a fleet run are deterministic and cheap.  Both backends
-        return bit-identical values.
+        during a fleet run are deterministic and cheap.
         """
-        if duration_hours <= 0:
-            raise ConfigurationError("duration_hours must be positive")
-        gpu = get_gpu(gpu_name)
-        hour = hour_bin(launch_hour_local)
-        if self.score_backend == "table":
-            return self._table.probability(gpu.name, region_name, hour,
-                                           duration_hours)
-        return self._sampled_score(gpu.name, region_name, hour,
-                                   float(duration_hours))
-
-    def _sampled_score(self, gpu_name: str, region_name: str, hour: int,
-                       duration_hours: float) -> float:
-        """The legacy scalar Monte-Carlo backend (memoized per duration)."""
-        key = (gpu_name, region_name, hour, duration_hours)
-        cached = self._probability_cache.get(key)
-        if cached is not None:
-            return cached
-        # A stable per-option index: CRC32 keeps the derived generator
-        # independent of the order in which options are first scored.
-        option_index = zlib.crc32(
-            f"place:{gpu_name}:{region_name}:{hour}".encode("utf-8"))
-        model = self._model_for(option_index)
-        outcomes = model.sample_batch(gpu_name, region_name,
-                                      self.samples_per_option,
-                                      launch_hour_local=float(hour))
-        revoked_within_run = sum(
-            1 for outcome in outcomes
-            if outcome.revoked and outcome.lifetime_hours <= duration_hours)
-        probability = revoked_within_run / self.samples_per_option
-        self._probability_cache[key] = probability
-        return probability
-
-    def _scores(self, gpu_name: str, cells: Sequence[Tuple[str, int]],
-                duration_hours: float) -> List[float]:
-        """Revocation probabilities for a whole candidate set.
-
-        The table backend scores every cell with one vectorized matrix
-        comparison; the sampling backend loops the memoized scalar path.
-        """
-        if self.score_backend == "table":
-            return [float(probability) for probability in self._table.
-                    probabilities(gpu_name, cells, duration_hours)]
-        return [self._sampled_score(gpu_name, region, hour,
-                                    float(duration_hours))
-                for region, hour in cells]
+        return self._table.probability(gpu_name, region_name,
+                                       launch_hour_local, duration_hours)
 
     # ------------------------------------------------------------------
     # The query API.
@@ -288,9 +144,11 @@ class LaunchAdvisor:
         """
         gpu = get_gpu(query.gpu_name)
         cells = self._candidate_cells(query, pool)
-        probabilities = self._scores(gpu.name, cells, query.duration_hours)
+        probabilities = self._table.probabilities(gpu.name, cells,
+                                                  query.duration_hours)
         options: List[PlacementOption] = []
-        for (region_name, hour), probability in zip(cells, probabilities):
+        for (region_name, hour), probability in zip(cells,
+                                                    probabilities.tolist()):
             if pool is None:
                 acquirable: Optional[int] = None
                 queue_depth = 0
@@ -315,102 +173,3 @@ class LaunchAdvisor:
                                          option.launch_hour_local))
         return PlacementDecision(query=query, options=tuple(options),
                                  pool_version=getattr(pool, "version", None))
-
-    # ------------------------------------------------------------------
-    # Deprecated entry points (thin shims over answer()).
-    # ------------------------------------------------------------------
-    def score_option(self, gpu_name: str, region_name: str, launch_hour_local: int,
-                     duration_hours: float, num_workers: int = 1,
-                     option_index: int = 0) -> LaunchOption:
-        """Deprecated: score one (region, launch hour) option.
-
-        Use :meth:`answer` with a single-region, single-hour grid query.
-        ``option_index`` is ignored — option generators are now keyed by a
-        stable digest of the option itself.
-        """
-        _deprecated("score_option", "query with region_names + launch_hours")
-        query = PlacementQuery(gpu_name=gpu_name, duration_hours=duration_hours,
-                               num_workers=num_workers,
-                               region_names=(region_name,),
-                               launch_hours=(launch_hour_local,))
-        option = self.answer(query).options[0]
-        return LaunchOption(gpu_name=option.gpu_name,
-                            region_name=option.region_name,
-                            launch_hour_local=option.launch_hour_local,
-                            revocation_probability=option.revocation_probability,
-                            expected_revocations=option.expected_revocations)
-
-    def rank_options(self, gpu_name: str, duration_hours: float,
-                     num_workers: int = 1,
-                     region_names: Optional[Sequence[str]] = None,
-                     launch_hours: Sequence[int] = _DEFAULT_LAUNCH_HOURS
-                     ) -> List[LaunchOption]:
-        """Deprecated: score and rank a (region, hour) grid.
-
-        Use :meth:`answer` with a grid-mode query.
-        """
-        _deprecated("rank_options", "query with launch_hours")
-        decision = self._answer_grid(gpu_name, duration_hours, num_workers,
-                                     region_names, launch_hours)
-        return [LaunchOption(gpu_name=option.gpu_name,
-                             region_name=option.region_name,
-                             launch_hour_local=option.launch_hour_local,
-                             revocation_probability=option.revocation_probability,
-                             expected_revocations=option.expected_revocations)
-                for option in decision.options]
-
-    def recommend(self, gpu_name: str, duration_hours: float, num_workers: int = 1,
-                  region_names: Optional[Sequence[str]] = None,
-                  launch_hours: Sequence[int] = _DEFAULT_LAUNCH_HOURS
-                  ) -> LaunchOption:
-        """Deprecated: the single safest (region, launch hour) option.
-
-        Use ``answer(query).options[0]`` with a grid-mode query.
-        """
-        _deprecated("recommend", "query with launch_hours")
-        option = self._answer_grid(gpu_name, duration_hours, num_workers,
-                                   region_names, launch_hours).options[0]
-        return LaunchOption(gpu_name=option.gpu_name,
-                            region_name=option.region_name,
-                            launch_hour_local=option.launch_hour_local,
-                            revocation_probability=option.revocation_probability,
-                            expected_revocations=option.expected_revocations)
-
-    def _answer_grid(self, gpu_name, duration_hours, num_workers,
-                     region_names, launch_hours) -> PlacementDecision:
-        query = PlacementQuery(
-            gpu_name=gpu_name, duration_hours=duration_hours,
-            num_workers=num_workers,
-            region_names=None if region_names is None else tuple(region_names),
-            launch_hours=tuple(launch_hours))
-        return self.answer(query)
-
-    def place(self, gpu_name: str, duration_hours: float, pool,
-              hour_of_day_utc: float,
-              region_names: Optional[Sequence[str]] = None,
-              queue_weight: float = 0.5) -> List[PlacementOption]:
-        """Deprecated: rank live placements for one worker against a pool.
-
-        Use :meth:`answer` with a live-mode query and a pool snapshot.
-        """
-        _deprecated("place", "query with hour_of_day_utc, pool=snapshot")
-        query = PlacementQuery(
-            gpu_name=gpu_name, duration_hours=duration_hours,
-            region_names=None if region_names is None else tuple(region_names),
-            hour_of_day_utc=hour_of_day_utc, queue_weight=queue_weight)
-        return list(self.answer(query, pool=pool).options)
-
-    def best_feasible(self, gpu_name: str, duration_hours: float, pool,
-                      hour_of_day_utc: float,
-                      region_names: Optional[Sequence[str]] = None,
-                      queue_weight: float = 0.5) -> Optional[PlacementOption]:
-        """Deprecated: the best placement the pool can grant right now.
-
-        Use ``answer(query, pool=snapshot).best``.
-        """
-        _deprecated("best_feasible", "query with hour_of_day_utc, pool=snapshot")
-        query = PlacementQuery(
-            gpu_name=gpu_name, duration_hours=duration_hours,
-            region_names=None if region_names is None else tuple(region_names),
-            hour_of_day_utc=hour_of_day_utc, queue_weight=queue_weight)
-        return self.answer(query, pool=pool).best

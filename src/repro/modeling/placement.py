@@ -3,9 +3,7 @@
 This module carries the redesigned placement interface shared by the fleet
 runner (:mod:`repro.scenarios.fleet`) and the online placement service
 (:mod:`repro.serve`): one :class:`PlacementQuery` in, one
-:class:`PlacementDecision` out, replacing the five overlapping
-``LaunchAdvisor`` entry points (``score_option`` / ``rank_options`` /
-``place`` / ``best_feasible`` / ``recommend``) that accreted through PR 5.
+:class:`PlacementDecision` out.
 
 The design separates the two halves of every placement decision:
 
@@ -40,10 +38,11 @@ per-option sampler (one stable generator per option, seeded from the
 advisor seed and a CRC digest of the option, consuming the underlying
 bit stream double-for-double — a block ``Generator.random`` draw yields
 the same doubles as the scalar ``uniform``/``choice`` calls it replaces).
-``tests/test_placement_api.py`` pins the equivalence across the full
-calibration grid, and the adaptive-placement golden fixture in
-``tests/test_fleet_golden_identity.py`` pins that fleets behave
-identically with the table on.
+``tests/test_placement_api.py`` pins the equivalence against the scalar
+sampler (kept as a test-only oracle in ``tests/oracles.py``) across the
+full calibration grid, and the adaptive-placement golden fixture in
+``tests/test_fleet_golden_identity.py`` pins that fleets score exactly as
+they did under the sampler.
 """
 
 from __future__ import annotations

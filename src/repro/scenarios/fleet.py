@@ -13,35 +13,17 @@ Table V / Fig. 8 / Fig. 9 characterization at pool level.
 
 Fleet execution performance
 ---------------------------
-The fleet loop has two schedulers that produce **bit-identical payloads**
-by contract (the golden matrix in ``tests/test_fleet_scheduler.py`` and the
-``benchmarks/BENCH_fleet.json`` baseline pin this down):
-
-* the *round-robin* scheduler (the original loop, kept as the reference
-  behind ``REPRO_FLEET_SCHEDULER=roundrobin``) — every iteration offers a
-  vectorized fast-forward span to *all* N unfinished sessions, scans all N
-  jobs for completion, then fires one heap event: O(N) driver work per
-  simulator event;
-* the *wake-set* scheduler (:meth:`FleetRun.run`, the default) — exploits
-  the fact that a session can only replay spans while the heap top is one
-  of its **own** chunk events.  Chunk events carry an ownership tag
-  (``Event.owner``, see :mod:`repro.simulation.events`), so the wake set —
-  the sessions whose fast-forward could make progress right now — is
-  exactly ``{owner of the heap top}``; disturbed jobs (the event owner,
-  pool-grant recipients, newly started jobs) re-enter it automatically the
-  moment their next chunk surfaces at the top.  Together with live
-  finished/stalled counters (updated by session/stall callbacks) replacing
-  the O(N) ``all(...)`` scan, per-event driver work drops to O(1).
-
-The round-robin reference deliberately does **not** inherit the session's
-disturbance-horizon offer cache: its offers go through
-:meth:`~repro.training.session.TrainingSession.fast_forward_probed`, which
-reproduces the PR 3 per-offer cost model (heap peek + O(workers) id-set
-probe), so ``BENCH_fleet.json`` measures the scheduler redesign against
-the loop it replaced.  The cache itself serves drivers that re-offer
-blindly — a session's own ``run_to_completion`` loop, or any external
-multiplexer calling :meth:`~repro.training.session.TrainingSession.fast_forward`
-without a pre-peeked top: their declined re-offers cost no heap peeks.
+The fleet loop (:meth:`FleetRun.run`) is a *wake-set* scheduler: a
+session can only replay spans while the heap top is one of its **own**
+chunk events.  Chunk events carry an ownership tag (``Event.owner``, see
+:mod:`repro.simulation.events`), so the wake set — the sessions whose
+fast-forward could make progress right now — is exactly ``{owner of the
+heap top}``; disturbed jobs (the event owner, pool-grant recipients, newly
+started jobs) re-enter it automatically the moment their next chunk
+surfaces at the top.  Together with live finished/stalled counters
+(updated by session/stall callbacks) instead of an O(N) ``all(...)`` scan,
+per-event driver work is O(1).  Payloads are pinned by the golden
+fixtures under ``tests/data/``.
 
 Pool-aware placement and warm replacements
 ------------------------------------------
@@ -50,9 +32,9 @@ pinned single-job experiments (both default *off*, and the defaults are
 payload-bit-identical to the pre-placement fleets — the golden fixture in
 ``tests/test_fleet_golden_identity.py`` pins this):
 
-* ``placement="adaptive"`` routes placement decisions through the
-  pool-aware :meth:`repro.modeling.launch_advisor.LaunchAdvisor.place`
-  mode: at launch every worker goes to the feasible ``(gpu, region)`` cell
+* ``placement="adaptive"`` routes placement decisions through pool-aware
+  live-mode :meth:`repro.modeling.launch_advisor.LaunchAdvisor.answer`
+  queries: at launch every worker goes to the feasible ``(gpu, region)`` cell
   with the best combined revocation-calibration + queue-pressure score,
   and when a replacement request would find its preferred cell exhausted
   the controller falls back to the next-best feasible cell instead of
@@ -72,11 +54,10 @@ scenario sweeps serial/parallel bit-identical and resumable through the
 ``queue_policy``, ``warm_seconds``, ``launch_hour``, and ``placement``
 axes (applied per cell by :func:`apply_fleet_axes`); the cost/makespan
 frontier across those axes renders via
-:func:`repro.scenarios.report.fleet_frontier_table`.  Three more runtime
-knobs, all payload-neutral: ``REPRO_FLEET_SCHEDULER`` selects the
-scheduler, ``REPRO_FLEET_TRACE_LEVEL=summary`` switches every session
-to the aggregates-only trace sink so 500-job fleets keep O(1) trace memory
-per job, and ``REPRO_FLEET_SHARDS`` > 1 partitions the fleet across worker
+:func:`repro.scenarios.report.fleet_frontier_table`.  Two more runtime
+knobs, both payload-neutral: ``REPRO_FLEET_TRACE_LEVEL=summary``
+switches every session to the aggregates-only trace sink so 500-job
+fleets keep O(1) trace memory per job, and ``REPRO_FLEET_SHARDS`` > 1 partitions the fleet across worker
 processes via :mod:`repro.scenarios.shard` (bit-identical payloads; shard
 1, the default, is this module's loop byte-identically unchanged).
 Regenerate ``benchmarks/BENCH_fleet.json`` with
@@ -137,9 +118,6 @@ FLEET_AXES = ("pool_size", "queue_policy", "warm_seconds", "launch_hour",
 #: Valid ``queue_policy`` axis values.
 QUEUE_POLICIES = ("deny", "queue")
 
-#: Environment switch selecting the fleet scheduler (default ``wakeset``).
-FLEET_SCHEDULER_ENV = "REPRO_FLEET_SCHEDULER"
-
 #: Environment switch selecting the per-session trace level (default
 #: ``full``; ``summary`` keeps aggregates only).
 FLEET_TRACE_LEVEL_ENV = "REPRO_FLEET_TRACE_LEVEL"
@@ -150,16 +128,6 @@ FLEET_TRACE_LEVEL_ENV = "REPRO_FLEET_TRACE_LEVEL"
 #: which partitions the fleet's jobs and pool cells across worker
 #: processes; payloads stay bit-identical by contract.
 FLEET_SHARDS_ENV = "REPRO_FLEET_SHARDS"
-
-#: Valid scheduler names: the event-ownership wake-set loop, and the
-#: original offer-everyone round-robin loop kept as the bit-identical
-#: payload reference.
-FLEET_SCHEDULERS = ("wakeset", "roundrobin")
-
-
-def _scheduler_default() -> str:
-    return (os.environ.get(FLEET_SCHEDULER_ENV, "").strip().lower()
-            or "wakeset")
 
 
 def _trace_level_default() -> str:
@@ -335,9 +303,6 @@ class FleetRun:
         catalog: Model catalog resolving job model names.
         price_catalog: Pricing used for fleet cost accounting.
         fast_forward: Core-path override forwarded to every session.
-        scheduler: Fleet scheduler (``"wakeset"`` or ``"roundrobin"``);
-            ``None`` reads ``REPRO_FLEET_SCHEDULER`` (default wake-set).
-            Payloads are bit-identical either way.
         trace_level: Per-session trace level (``"full"`` or ``"summary"``);
             ``None`` reads ``REPRO_FLEET_TRACE_LEVEL`` (default full).
             Payloads are bit-identical either way.
@@ -356,7 +321,6 @@ class FleetRun:
                  catalog: Optional[ModelCatalog] = None,
                  price_catalog: Optional[PriceCatalog] = None,
                  fast_forward: Optional[bool] = None,
-                 scheduler: Optional[str] = None,
                  trace_level: Optional[str] = None,
                  telemetry: Optional[Any] = None,
                  telemetry_ranks: Optional[Sequence[int]] = None):
@@ -366,11 +330,6 @@ class FleetRun:
         self.prices = (price_catalog if price_catalog is not None
                        else default_price_catalog())
         self.fast_forward = fast_forward
-        self.scheduler = scheduler if scheduler is not None else _scheduler_default()
-        if self.scheduler not in FLEET_SCHEDULERS:
-            known = ", ".join(FLEET_SCHEDULERS)
-            raise ConfigurationError(
-                f"unknown fleet scheduler {self.scheduler!r}; known: {known}")
         self.trace_level = (trace_level if trace_level is not None
                             else _trace_level_default())
         epoch = (scenario.epoch_hour_utc if scenario.epoch_hour_utc is not None
@@ -398,7 +357,7 @@ class FleetRun:
         self._jobs_finished = 0
         self._jobs_stalled = 0
         #: Optional progress callback fired every ``_progress_interval``
-        #: processed events by both run loops.  The sharded fleet driver
+        #: processed events by the run loop.  The sharded fleet driver
         #: installs one so each worker process periodically reports its
         #: progress lower bound to the parent's draw service; ``None`` (the
         #: default) costs one pointer comparison per loop iteration.
@@ -638,21 +597,14 @@ class FleetRun:
     def run(self) -> Dict[str, Any]:
         """Run the fleet to completion and return the JSON payload.
 
-        The wake-set scheduler (default) maps the heap top to its owning
-        session and lets only that session fast-forward; the round-robin
-        reference offers a span to every unfinished session per event.
-        Both stop the moment every job finished or stalled — a stalled job
-        has no queued replacement left by definition, so nothing in the
+        The loop stops the moment every job finished or stalled — a stalled
+        job has no queued replacement left by definition, so nothing in the
         heap (pool reclaim returns, stale revocation draws) can revive it,
         and draining events up to a day in the future would inflate the
-        fleet clock past the last meaningful moment.  Payloads are
-        bit-identical across schedulers.
+        fleet clock past the last meaningful moment.
         """
         max_events = MAX_EVENTS_PER_JOB * len(self.jobs)
-        if self.scheduler == "roundrobin":
-            processed = self._run_roundrobin(max_events)
-        else:
-            processed = self._run_wakeset(max_events)
+        processed = self._advance(max_events)
         #: Events processed (chunk completions + fired heap events) —
         #: the throughput numerator of ``benchmarks/fleet_baseline.py``.
         self.events_processed = processed
@@ -661,7 +613,7 @@ class FleetRun:
                 f"fleet {self.scenario.name!r} exceeded {max_events} events")
         return self._payload()
 
-    def _run_wakeset(self, max_events: int) -> int:
+    def _advance(self, max_events: int) -> int:
         """O(1)-per-event loop driven by heap-top event ownership.
 
         Only the session owning the next-due chunk event can replay a
@@ -669,7 +621,8 @@ class FleetRun:
         event first and decline); everything else — job starts, pool
         grants, revocations, controller polls — reaches the disturbed
         session through ordinary heap events, after which its next chunk
-        surfaces at the top and wakes it again.
+        surfaces at the top and wakes it again.  Returns the number of
+        events processed.
         """
         sim = self.simulator
         peek_next = sim.peek_next
@@ -694,35 +647,6 @@ class FleetRun:
                     processed += replayed
                     continue
             if step() is None:
-                break
-            processed += 1
-        return processed
-
-    def _run_roundrobin(self, max_events: int) -> int:
-        """The original O(jobs)-per-event loop, kept as the reference.
-
-        Selected with ``REPRO_FLEET_SCHEDULER=roundrobin``; the wake-set
-        scheduler must reproduce its payloads bit for bit.  Offers go
-        through :meth:`TrainingSession.fast_forward_probed`, which keeps
-        the PR 3 per-offer cost model (heap peek + O(workers) id-set
-        probe, no disturbance-horizon cache), so the fleet baseline
-        measures the scheduler redesign against the loop it replaced
-        rather than against a reference that silently inherits it.
-        """
-        hook = self._progress_hook
-        next_report = self._progress_interval
-        processed = 0
-        while processed < max_events:
-            if hook is not None and processed >= next_report:
-                hook()
-                next_report = processed + self._progress_interval
-            for fleet_job in self.jobs:
-                if not fleet_job.session.finished:
-                    processed += fleet_job.session.fast_forward_probed(
-                        max_events - processed)
-            if all(job.session.finished or job.stalled for job in self.jobs):
-                break
-            if self.simulator.step() is None:
                 break
             processed += 1
         return processed
@@ -819,12 +743,11 @@ def run_fleet(scenario: ScenarioSpec, streams: RandomStreams,
               catalog: Optional[ModelCatalog] = None,
               price_catalog: Optional[PriceCatalog] = None,
               fast_forward: Optional[bool] = None,
-              scheduler: Optional[str] = None,
               trace_level: Optional[str] = None) -> Dict[str, Any]:
     """Simulate one fleet and return its JSON-encodable summary payload."""
     return FleetRun(scenario, streams, catalog=catalog,
                     price_catalog=price_catalog, fast_forward=fast_forward,
-                    scheduler=scheduler, trace_level=trace_level).run()
+                    trace_level=trace_level).run()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ decision.
 
 Ownership
 ---------
-The PR 4 wake-set scheduler already tags every chunk event with its owning
+The fleet's wake-set loop already tags every chunk event with its owning
 session (``Event.owner``) so the heap top names the one session able to
 progress.  Sharding generalizes that ownership one level up:
 
@@ -108,8 +108,7 @@ events are scheduled immediately after their draws, in draw order.
 Contracts (pinned by ``tests/test_shard.py`` and the golden matrix):
 
 * payloads bit-identical to single-process across ``REPRO_FLEET_SHARDS``
-  x ``REPRO_FLEET_SCHEDULER`` x ``REPRO_CORE_FASTFORWARD`` x
-  ``REPRO_FLEET_TRACE_LEVEL``;
+  x ``REPRO_CORE_FASTFORWARD`` x ``REPRO_FLEET_TRACE_LEVEL``;
 * ``shards=1`` (the default) byte-identically reuses the single-process
   code path — same streams, same seeds, same sweep cache entries;
 * fleets that form one component (every named single-region scenario, and
@@ -381,15 +380,13 @@ class ShardFleetRun(FleetRun):
                  catalog: Optional[ModelCatalog] = None,
                  price_catalog: Optional[PriceCatalog] = None,
                  fast_forward: Optional[bool] = None,
-                 scheduler: Optional[str] = None,
                  trace_level: Optional[str] = None,
                  telemetry: Optional[Any] = None,
                  chaos_monitor: Optional[chaos.ChaosMonitor] = None):
         super().__init__(scenario, streams, catalog=catalog,
                          price_catalog=price_catalog,
-                         fast_forward=fast_forward, scheduler=scheduler,
-                         trace_level=trace_level, telemetry=telemetry,
-                         telemetry_ranks=job_ranks)
+                         fast_forward=fast_forward, trace_level=trace_level,
+                         telemetry=telemetry, telemetry_ranks=job_ranks)
         if self.advisor is not None:
             raise ConfigurationError(
                 "adaptive placement couples every cell; it cannot run on a "
@@ -492,7 +489,7 @@ class ShardFleetRun(FleetRun):
 
 def _shard_worker(conn, scenario: ScenarioSpec, group: ShardGroup,
                   epoch: float, seed: int, catalog, price_catalog,
-                  fast_forward, scheduler, trace_level, telemetry=None,
+                  fast_forward, trace_level, telemetry=None,
                   incarnation: int = 0) -> None:
     """Process entry point: run one shard and report back over ``conn``.
 
@@ -520,7 +517,7 @@ def _shard_worker(conn, scenario: ScenarioSpec, group: ShardGroup,
         run = ShardFleetRun(sub, RandomStreams(seed=seed), conn=conn,
                             job_ranks=group.job_indices, catalog=catalog,
                             price_catalog=price_catalog,
-                            fast_forward=fast_forward, scheduler=scheduler,
+                            fast_forward=fast_forward,
                             trace_level=trace_level, telemetry=spool,
                             chaos_monitor=monitor)
         payload = run.run()
@@ -595,7 +592,6 @@ class ShardedFleetRun:
                  catalog: Optional[ModelCatalog] = None,
                  price_catalog: Optional[PriceCatalog] = None,
                  fast_forward: Optional[bool] = None,
-                 scheduler: Optional[str] = None,
                  trace_level: Optional[str] = None,
                  shards: Optional[int] = None,
                  telemetry: Optional[Any] = None,
@@ -606,7 +602,6 @@ class ShardedFleetRun:
         self.catalog = catalog
         self.price_catalog = price_catalog
         self.fast_forward = fast_forward
-        self.scheduler = scheduler
         self.trace_level = trace_level
         #: Optional :class:`repro.telemetry.writer.TelemetryConfig` — a
         #: picklable spool description each shard (or the single-process
@@ -648,7 +643,6 @@ class ShardedFleetRun:
             run = FleetRun(self.scenario, self.streams, catalog=self.catalog,
                            price_catalog=self.price_catalog,
                            fast_forward=self.fast_forward,
-                           scheduler=self.scheduler,
                            trace_level=self.trace_level,
                            telemetry=spool)
             payload = run.run()
@@ -674,7 +668,7 @@ class ShardedFleetRun:
             target=_shard_worker,
             args=(child_conn, self.scenario, handle.group, epoch,
                   self.streams.seed, self.catalog, self.price_catalog,
-                  self.fast_forward, self.scheduler, self.trace_level,
+                  self.fast_forward, self.trace_level,
                   self.telemetry, handle.incarnation),
             name=(f"repro-fleet-shard-{handle.group.index}"
                   f".{handle.incarnation}"))
@@ -978,7 +972,6 @@ def run_fleet_sharded(scenario: ScenarioSpec, streams: RandomStreams,
                       catalog: Optional[ModelCatalog] = None,
                       price_catalog: Optional[PriceCatalog] = None,
                       fast_forward: Optional[bool] = None,
-                      scheduler: Optional[str] = None,
                       trace_level: Optional[str] = None,
                       shards: Optional[int] = None,
                       telemetry: Optional[Any] = None,
@@ -1000,7 +993,7 @@ def run_fleet_sharded(scenario: ScenarioSpec, streams: RandomStreams,
     """
     return ShardedFleetRun(scenario, streams, catalog=catalog,
                            price_catalog=price_catalog,
-                           fast_forward=fast_forward, scheduler=scheduler,
+                           fast_forward=fast_forward,
                            trace_level=trace_level, shards=shards,
                            telemetry=telemetry, max_restarts=max_restarts,
                            heartbeat_seconds=heartbeat_seconds).run()

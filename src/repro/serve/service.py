@@ -81,7 +81,7 @@ class PlacementService:
                 ``advisor()`` builder).
 
         The advisor is rebuilt with the same sampling configuration
-        (samples, seed, backend) on the refit revocation model, the
+        (samples, seed) on the refit revocation model, the
         decision cache epoch is bumped, and the cache is dropped — a
         decision scored under the old calibration must never answer a
         post-recalibration query.
@@ -92,8 +92,7 @@ class PlacementService:
         """
         self.advisor = result.advisor(
             samples_per_option=self.advisor.samples_per_option,
-            seed=self.advisor.seed,
-            score_backend=self.advisor.score_backend)
+            seed=self.advisor.seed)
         if self._decisions:
             self.cache_invalidations += 1
         self._decisions.clear()
@@ -179,6 +178,5 @@ class PlacementService:
             "calibration_epoch": self.calibration_epoch,
             "pool_version": (self.pool.version
                              if self.pool is not None else None),
-            "score_backend": self.advisor.score_backend,
             "score_options_built": self.advisor.score_table.options_built,
         }

@@ -186,11 +186,9 @@ def _runtime_knobs_key() -> str:
 
     Cell functions run library code whose behavior can be switched by
     environment knobs — the simulation core's fast-forward toggle
-    (``REPRO_CORE_FASTFORWARD`` / ``fast_forward``), the fleet scheduler
-    (``REPRO_FLEET_SCHEDULER``), the fleet trace level
-    (``REPRO_FLEET_TRACE_LEVEL``), the fleet shard count
-    (``REPRO_FLEET_SHARDS``), and the placement score backend
-    (``REPRO_PLACEMENT_SCORES``).  The *effective* normalized settings are
+    (``REPRO_CORE_FASTFORWARD`` / ``fast_forward``), the fleet trace level
+    (``REPRO_FLEET_TRACE_LEVEL``), and the fleet shard count
+    (``REPRO_FLEET_SHARDS``).  The *effective* normalized settings are
     fingerprinted (so ``"0"``, ``"false"``, and ``"off"`` key identically,
     as do defaults and unset), and folded into every cache key: a warm
     cache can never silently mix payloads computed under different paths,
@@ -198,20 +196,13 @@ def _runtime_knobs_key() -> str:
     inherit the parent's environment, so the parent-side value covers
     pooled execution too.
     """
-    from repro.modeling.launch_advisor import placement_scores_backend
-    from repro.scenarios.fleet import (
-        _scheduler_default,
-        _shards_default,
-        _trace_level_default,
-    )
+    from repro.scenarios.fleet import _shards_default, _trace_level_default
     from repro.training.session import _fast_forward_default
 
     knobs = {
         "core_fastforward": "1" if _fast_forward_default() else "0",
-        "fleet_scheduler": _scheduler_default(),
         "fleet_shards": str(_shards_default()),
         "fleet_trace_level": _trace_level_default(),
-        "placement_scores": placement_scores_backend(),
     }
     return ",".join(f"{key}={value}" for key, value in sorted(knobs.items()))
 

@@ -8,7 +8,7 @@ the run the user actually analyzed.
 
 The artifact's ``meta`` document is derived purely from the scenario and
 catalog (never from run state) and deliberately excludes execution knobs
-— shards, trace level, scheduler — so exports are bit-identical across
+— shards, trace level — so exports are bit-identical across
 all of them (the sharded-identity contract).
 """
 

@@ -145,14 +145,12 @@ class RecalibrationResult:
         noise.update(self.noise_cov)
         return StepTimeModel(rng=rng, anchors=anchors, noise_cov=noise)
 
-    def advisor(self, samples_per_option: int = 200, seed: int = 0,
-                score_backend: str = "table"):
+    def advisor(self, samples_per_option: int = 200, seed: int = 0):
         """A :class:`~repro.modeling.launch_advisor.LaunchAdvisor` on the
         refit revocation model."""
         from repro.modeling.launch_advisor import LaunchAdvisor
         return LaunchAdvisor(revocation_model=self.revocation_model(),
-                             samples_per_option=samples_per_option,
-                             seed=seed, score_backend=score_backend)
+                             samples_per_option=samples_per_option, seed=seed)
 
     # ------------------------------------------------------------------
     # JSON-safe round trip (the serve ``recalibrate`` op payload).

@@ -912,44 +912,18 @@ class TrainingSession:
         """Public fast-forward hook for multi-session drivers.
 
         ``top``, when given, must be the caller's fresh ``peek_next()``
-        result; the wake-set scheduler passes it so the heap is not peeked
-        a second time.
+        result, so the heap is not peeked a second time.
 
         :mod:`repro.scenarios` runs many sessions on one simulator; each
         session can only replay spans while the next event due is one of its
-        *own* chunk completions, so a fleet driver either offers every
-        unfinished session a turn (the round-robin reference scheduler) or
-        maps the heap top to its owning session via the event ownership
-        tags (the wake-set scheduler).  Returns the number of chunk
+        *own* chunk completions, so a driver either maps the heap top to its
+        owning session via the event ownership tags (the fleet's wake-set
+        loop) or simply offers sessions a turn.  Returns the number of chunk
         completions replayed (0 when the next event is foreign, the session
         is finished, or fast-forward is disabled).  Declined offers are
         cached against the blocking foreign event, so repeated offers to an
         undisturbed session cost no heap peeks.
         """
-        return self._fast_forward(max_pops, top=top)
-
-    def fast_forward_probed(self, max_pops: Optional[int] = None) -> int:
-        """The PR 3 fast-forward offer, kept verbatim for benchmarking.
-
-        This reproduces the original multi-session offer path — one heap
-        peek plus an O(workers) id-set probe of the top event against this
-        session's in-flight chunks, with no disturbance-horizon caching —
-        so the round-robin reference scheduler
-        (``REPRO_FLEET_SCHEDULER=roundrobin``) keeps the old fleet loop's
-        *cost model* as well as its payloads, making
-        ``benchmarks/fleet_baseline.py`` an honest before/after of the
-        wake-set redesign.  Everything past the probe is shared with
-        :meth:`fast_forward`, so the replayed spans stay bit-identical.
-        """
-        if self._finished or not self.fast_forward_enabled or not self._inflight:
-            return 0
-        top = self.simulator.peek_next()
-        if top is None:
-            return 0
-        chunk_event_ids = {id(info[0]) for info in self._inflight.values()}
-        if id(top) not in chunk_event_ids:
-            # A foreign event (disturbance) fires first; nothing to replay.
-            return 0
         return self._fast_forward(max_pops, top=top)
 
     # ------------------------------------------------------------------

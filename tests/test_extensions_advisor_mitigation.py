@@ -75,8 +75,6 @@ def test_advisor_accepts_custom_model_and_validates():
     with pytest.raises(ConfigurationError):
         LaunchAdvisor(samples_per_option=1)
     with pytest.raises(ConfigurationError):
-        LaunchAdvisor(score_backend="bogus")
-    with pytest.raises(ConfigurationError):
         grid_query(duration_hours=0.0)
     with pytest.raises(ConfigurationError):
         grid_query(num_workers=0)

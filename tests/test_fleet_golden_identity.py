@@ -4,9 +4,9 @@
 the PR 4 fleet runner, **before** the warm pool and pool-aware placement
 landed.  The contract: a scenario with the default knobs
 (``warm_capacity=0``, ``placement="static"``) must keep producing that
-payload byte for byte — across the fleet scheduler
-(``REPRO_FLEET_SCHEDULER``), the simulation core path
-(``REPRO_CORE_FASTFORWARD``), and the trace level
+payload byte for byte — whether the wake-set loop or the round-robin
+oracle of ``tests/oracles.py`` drives it, on either simulation core path
+(``REPRO_CORE_FASTFORWARD``) and at either trace level
 (``REPRO_FLEET_TRACE_LEVEL``) — so future refactors of the pool, the
 placement path, or the payload shape cannot silently drift the baseline.
 
@@ -29,6 +29,7 @@ import pathlib
 
 import pytest
 
+from oracles import use_reference
 from repro.scenarios import get_scenario, run_fleet
 from repro.simulation.rng import RandomStreams
 
@@ -51,9 +52,10 @@ def normalized(payload):
 def test_default_fleet_matches_the_frozen_pr4_payload(
         scheduler, fastforward, trace_level, catalog, monkeypatch):
     """warm_capacity=0 + static placement == the frozen PR 4 payload, for
-    every scheduler x core path x trace level combination (all knobs set
-    through their environment switches, like a real deployment would)."""
-    monkeypatch.setenv("REPRO_FLEET_SCHEDULER", scheduler)
+    every scheduler x core path x trace level combination (the core path
+    and trace level set through their environment switches, like a real
+    deployment would)."""
+    use_reference(monkeypatch, scheduler=scheduler)
     monkeypatch.setenv("REPRO_CORE_FASTFORWARD", fastforward)
     monkeypatch.setenv("REPRO_FLEET_TRACE_LEVEL", trace_level)
     payload = run_fleet(get_scenario("single_region_k80"),
@@ -87,11 +89,11 @@ def test_adaptive_fleet_matches_the_frozen_pr5_payload(
         score_backend, scheduler, catalog, monkeypatch):
     """The adaptive-placement scenario payload was frozen from the PR 5
     runner, before the PlacementQuery API and the vectorized score table
-    replaced the per-option sampler.  Both score backends (and both fleet
-    schedulers) must keep reproducing it byte for byte — the bit-identity
-    contract of the score-table replay."""
-    monkeypatch.setenv("REPRO_PLACEMENT_SCORES", score_backend)
-    monkeypatch.setenv("REPRO_FLEET_SCHEDULER", scheduler)
+    replaced the per-option sampler.  The table and the sampler oracle
+    (under both fleet loops) must keep reproducing it byte for byte — the
+    bit-identity contract of the score-table replay."""
+    use_reference(monkeypatch, scheduler=scheduler,
+                  score_backend=score_backend)
     payload = run_fleet(get_scenario("adaptive_placement"),
                         RandomStreams(seed=5), catalog=catalog)
     assert normalized(payload) == adaptive_golden_payload()

@@ -1,13 +1,15 @@
 """Golden-payload and stress tests for the fleet wake-set scheduler.
 
-The wake-set scheduler (PR 4) must reproduce the round-robin reference's
-payloads bit for bit, across every named scenario, both simulation core
-paths, and any sweep worker count; a 100-job fleet must respect the
-``MAX_EVENTS_PER_JOB`` guard and leave a drainable heap behind.
+The wake-set scheduler must reproduce the payloads of the round-robin loop
+it replaced (a test-only oracle in ``tests/oracles.py``) bit for bit,
+across every named scenario, both simulation core paths, and any sweep
+worker count; a 100-job fleet must respect the ``MAX_EVENTS_PER_JOB``
+guard and leave a drainable heap behind.
 """
 
 import pytest
 
+from oracles import use_reference
 from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios import get_scenario, run_fleet, run_scenario
 from repro.scenarios import fleet as fleet_module
@@ -38,18 +40,20 @@ def scaled_storm(jobs, total_steps=1500):
 # Golden payload matrix: scheduler x core path (x trace level).
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_golden_payloads_across_scheduler_and_core_path(name, catalog):
+def test_golden_payloads_across_scheduler_and_core_path(name, catalog,
+                                                        monkeypatch):
     scenario = get_scenario(name)
 
     def fleet(**kwargs):
         return run_fleet(scenario, RandomStreams(seed=5), catalog=catalog,
                          **kwargs)
 
-    reference = fleet(scheduler="wakeset")
-    assert fleet(scheduler="roundrobin") == reference
-    assert fleet(scheduler="wakeset", fast_forward=False) == reference
-    assert fleet(scheduler="roundrobin", fast_forward=False) == reference
-    assert fleet(scheduler="wakeset", trace_level="summary") == reference
+    reference = fleet()
+    assert fleet(fast_forward=False) == reference
+    assert fleet(trace_level="summary") == reference
+    use_reference(monkeypatch, scheduler="roundrobin")
+    assert fleet() == reference
+    assert fleet(fast_forward=False) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -58,32 +62,13 @@ def test_golden_payloads_across_scheduler_and_core_path(name, catalog):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_golden_payloads_across_sweep_workers(name, catalog, monkeypatch):
     scenario = get_scenario(name)
-    monkeypatch.setenv("REPRO_FLEET_SCHEDULER", "wakeset")
     serial = run_scenario(scenario, replicates=2, seed=9, workers=1,
                           catalog=catalog)
-    monkeypatch.setenv("REPRO_FLEET_SCHEDULER", "roundrobin")
+    # Pool workers fork from this process, so they run the round-robin loop.
+    use_reference(monkeypatch, scheduler="roundrobin")
     parallel = run_scenario(scenario, replicates=2, seed=9, workers=4,
                             catalog=catalog)
     assert parallel.payloads() == serial.payloads()
-
-
-# ---------------------------------------------------------------------------
-# Scheduler selection and validation.
-# ---------------------------------------------------------------------------
-def test_scheduler_env_and_validation(catalog, monkeypatch):
-    scenario = scaled_storm(2, total_steps=400)
-    monkeypatch.setenv("REPRO_FLEET_SCHEDULER", "roundrobin")
-    run = FleetRun(scenario, RandomStreams(seed=0), catalog=catalog)
-    assert run.scheduler == "roundrobin"
-    monkeypatch.setenv("REPRO_FLEET_SCHEDULER", "wakeset")
-    assert FleetRun(scenario, RandomStreams(seed=0),
-                    catalog=catalog).scheduler == "wakeset"
-    with pytest.raises(ConfigurationError):
-        FleetRun(scenario, RandomStreams(seed=0), catalog=catalog,
-                 scheduler="no-such-scheduler")
-    with pytest.raises(ConfigurationError):
-        FleetRun(scenario, RandomStreams(seed=0), catalog=catalog,
-                 trace_level="no-such-level")
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +77,16 @@ def test_scheduler_env_and_validation(catalog, monkeypatch):
 @pytest.mark.parametrize("scheduler", ("wakeset", "roundrobin"))
 def test_max_events_guard_trips(scheduler, catalog, monkeypatch):
     monkeypatch.setattr(fleet_module, "MAX_EVENTS_PER_JOB", 3)
+    use_reference(monkeypatch, scheduler=scheduler)
     run = FleetRun(scaled_storm(4, total_steps=2000), RandomStreams(seed=0),
-                   catalog=catalog, scheduler=scheduler)
+                   catalog=catalog)
     with pytest.raises(SimulationError, match="exceeded"):
         run.run()
 
 
 def test_100_job_fleet_completes_and_heap_drains(catalog):
     run = FleetRun(scaled_storm(100, total_steps=1200), RandomStreams(seed=0),
-                   catalog=catalog, scheduler="wakeset")
+                   catalog=catalog)
     payload = run.run()
     assert payload["jobs_total"] == 100
     assert payload["jobs_completed"] + payload["jobs_stalled"] == 100
@@ -135,3 +121,6 @@ def test_trace_level_summary_bounds_fleet_trace_memory(catalog):
         records = job.session.trace.step_records
         assert len(records) > 0
         assert records.steps_total >= job.spec.total_steps
+    with pytest.raises(ConfigurationError):
+        FleetRun(scaled_storm(2, total_steps=400), RandomStreams(seed=0),
+                 catalog=catalog, trace_level="no-such-level")

@@ -1,66 +1,61 @@
 """The redesigned placement query API and the vectorized score table.
 
-Pins the contracts the ISSUE's API redesign rests on:
+Pins the contracts the placement API rests on:
 
-* the ``table`` score backend is **bit-identical** to the legacy
-  ``sampling`` backend across the full calibration grid, for every
+* the vectorized score table is **bit-identical** to the scalar
+  Monte-Carlo sampler it replays (the test-only oracle in
+  ``tests/oracles.py``) across the full calibration grid, for every
   duration (the tape-replay equivalence);
-* the five deprecated ``LaunchAdvisor`` entry points are thin shims over
-  ``answer()`` — same numbers, plus a ``DeprecationWarning``;
 * :class:`~repro.modeling.placement.PlacementQuery` validates its two
   modes and round-trips through the wire format.
 """
 
 import pytest
 
+from oracles import sampled_probability, use_reference
 from repro.errors import ConfigurationError
-from repro.modeling.launch_advisor import (
-    LaunchAdvisor,
-    placement_scores_backend,
-)
+from repro.modeling.launch_advisor import LaunchAdvisor
 from repro.modeling.placement import PlacementQuery, ScoreTable
 from repro.scenarios.pool import TransientPool
 from repro.simulation.engine import Simulator
 
-#: Small sample count so the exhaustive sampling-backend sweeps stay fast;
-#: the equivalence holds sample for sample, so the count does not matter.
+#: Small sample count so the exhaustive sampler sweeps stay fast; the
+#: equivalence holds sample for sample, so the count does not matter.
 SAMPLES = 50
 
 DURATIONS = (0.5, 2.0, 6.0, 23.9)
 
 
-def advisors(seed=0, samples=SAMPLES):
-    return (LaunchAdvisor(samples_per_option=samples, seed=seed,
-                          score_backend="table"),
-            LaunchAdvisor(samples_per_option=samples, seed=seed,
-                          score_backend="sampling"))
+def advisor(seed=0):
+    return LaunchAdvisor(samples_per_option=SAMPLES, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# Backend bit-identity (the tape-replay contract).
+# Score-table bit-identity (the tape-replay contract).
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", (0, 7))
 def test_table_scores_match_sampling_exactly_on_the_full_grid(seed):
     """Every calibrated (gpu, region) cell, every launch hour, several
-    durations: the table's rank lookup equals the legacy Monte-Carlo
+    durations: the table's rank lookup equals the scalar Monte-Carlo
     estimate exactly (== on floats, not approx)."""
-    table, sampling = advisors(seed=seed)
-    for gpu, region in table.score_table.available_cells():
+    scorer = advisor(seed=seed)
+    table = scorer.score_table
+    for gpu, region in table.available_cells():
         for hour in range(24):
             for duration in DURATIONS:
-                assert (table.revocation_score(gpu, region, hour, duration)
-                        == sampling.revocation_score(gpu, region, hour,
-                                                     duration))
+                assert (scorer.revocation_score(gpu, region, hour, duration)
+                        == sampled_probability(table, gpu, region, hour,
+                                               duration))
 
 
-def test_answer_is_identical_across_backends_live_and_grid():
-    table, sampling = advisors()
+def test_answer_is_identical_across_backends_live_and_grid(monkeypatch):
     live = PlacementQuery(gpu_name="k80", duration_hours=3.0,
                           hour_of_day_utc=14.25)
     grid = PlacementQuery(gpu_name="v100", duration_hours=8.0,
                           num_workers=4, launch_hours=(0, 6, 12, 18))
-    for query in (live, grid):
-        assert table.answer(query) == sampling.answer(query)
+    decisions = [advisor().answer(query) for query in (live, grid)]
+    use_reference(monkeypatch, score_backend="sampling")
+    assert [advisor().answer(query) for query in (live, grid)] == decisions
 
 
 def test_vectorized_probabilities_equal_scalar_lookups():
@@ -93,54 +88,6 @@ def test_answer_is_deterministic_and_seed_sensitive():
                                seed=11).answer(query)
     assert [option.revocation_probability for option in first.options] != \
         [option.revocation_probability for option in other_seed.options]
-
-
-# ---------------------------------------------------------------------------
-# The deprecated entry points are shims over answer().
-# ---------------------------------------------------------------------------
-def test_score_option_shim_equals_answer():
-    advisor, _ = advisors()
-    with pytest.warns(DeprecationWarning, match="score_option"):
-        legacy = advisor.score_option("k80", "us-west1", 8, 6.0,
-                                      num_workers=3)
-    option = advisor.answer(PlacementQuery(
-        gpu_name="k80", duration_hours=6.0, num_workers=3,
-        region_names=("us-west1",), launch_hours=(8,))).options[0]
-    assert legacy.revocation_probability == option.revocation_probability
-    assert legacy.expected_revocations == option.expected_revocations
-
-
-def test_rank_options_and_recommend_shims_equal_answer():
-    advisor, _ = advisors()
-    query = PlacementQuery(gpu_name="k80", duration_hours=6.0,
-                           launch_hours=(0, 4, 8, 12, 16, 20))
-    decision = advisor.answer(query)
-    with pytest.warns(DeprecationWarning, match="rank_options"):
-        ranked = advisor.rank_options("k80", 6.0)
-    assert [(opt.region_name, opt.launch_hour_local,
-             opt.revocation_probability) for opt in ranked] == \
-        [(opt.region_name, opt.launch_hour_local,
-          opt.revocation_probability) for opt in decision.options]
-    with pytest.warns(DeprecationWarning, match="recommend"):
-        best = advisor.recommend("k80", 6.0)
-    assert (best.region_name, best.launch_hour_local) == \
-        (decision.options[0].region_name,
-         decision.options[0].launch_hour_local)
-
-
-def test_place_and_best_feasible_shims_equal_answer():
-    advisor, _ = advisors()
-    pool = TransientPool(Simulator(), {("k80", "us-west1"): 2,
-                                       ("k80", "europe-west1"): 2})
-    query = PlacementQuery(gpu_name="k80", duration_hours=2.0,
-                           hour_of_day_utc=9.0)
-    decision = advisor.answer(query, pool=pool.snapshot())
-    with pytest.warns(DeprecationWarning, match="place"):
-        placed = advisor.place("k80", 2.0, pool.snapshot(), 9.0)
-    assert tuple(placed) == decision.options
-    with pytest.warns(DeprecationWarning, match="best_feasible"):
-        best = advisor.best_feasible("k80", 2.0, pool.snapshot(), 9.0)
-    assert best == decision.best
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +148,9 @@ def test_from_params_rejects_unknown_fields():
 
 
 def test_decision_best_is_none_when_nothing_is_feasible():
-    advisor, _ = advisors()
     pool = TransientPool(Simulator(), {("k80", "us-west1"): 1})
     pool.acquire("k80", "us-west1")
-    decision = advisor.answer(
+    decision = advisor().answer(
         PlacementQuery(gpu_name="k80", duration_hours=2.0,
                        hour_of_day_utc=9.0), pool=pool.snapshot())
     assert decision.best is None and not decision.feasible
@@ -212,7 +158,7 @@ def test_decision_best_is_none_when_nothing_is_feasible():
 
 
 # ---------------------------------------------------------------------------
-# ScoreTable construction and backend selection.
+# ScoreTable construction.
 # ---------------------------------------------------------------------------
 def test_score_table_validates_inputs():
     with pytest.raises(ConfigurationError, match="samples"):
@@ -234,15 +180,3 @@ def test_warm_builds_every_cell_once():
     table.probability("k80", "us-west1", 9, 2.0)
     assert table.options_built == built
 
-
-def test_backend_env_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_PLACEMENT_SCORES", "sampling")
-    assert placement_scores_backend() == "sampling"
-    assert LaunchAdvisor(samples_per_option=SAMPLES).score_backend == \
-        "sampling"
-    monkeypatch.setenv("REPRO_PLACEMENT_SCORES", "bogus")
-    assert placement_scores_backend() == "table"
-    monkeypatch.delenv("REPRO_PLACEMENT_SCORES")
-    assert placement_scores_backend() == "table"
-    with pytest.raises(ConfigurationError, match="score backend"):
-        LaunchAdvisor(samples_per_option=SAMPLES, score_backend="bogus")

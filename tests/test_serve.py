@@ -125,7 +125,6 @@ def test_stats_counters():
     assert stats["queries_answered"] == 12
     assert stats["cache_hits"] == 6
     assert stats["cached_decisions"] == 6
-    assert stats["score_backend"] == "table"
     assert stats["pool_version"] == service.pool.version
 
 

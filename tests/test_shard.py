@@ -3,9 +3,10 @@
 ``tests/data/fleet_golden_multi_region_hetero_seed5.json`` was frozen from
 the **single-process** fleet runner the day the sharded driver landed.
 The tentpole contract: ``run_fleet_sharded`` must keep producing that
-payload byte for byte at every shard count, across the fleet scheduler
-(``REPRO_FLEET_SCHEDULER``), the simulation core path
-(``REPRO_CORE_FASTFORWARD``), and the trace level
+payload byte for byte at every shard count, whichever fleet loop drives
+the shards (the wake-set loop or the round-robin oracle of
+``tests/oracles.py``), on either simulation core path
+(``REPRO_CORE_FASTFORWARD``) and at either trace level
 (``REPRO_FLEET_TRACE_LEVEL``) — sharding is an execution knob, never a
 modeling decision.
 
@@ -29,6 +30,7 @@ import pathlib
 
 import pytest
 
+from oracles import use_reference
 from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios import (
     get_scenario,
@@ -167,10 +169,10 @@ def test_shard_subset_keeps_validation_and_pins_the_epoch():
 def test_two_shard_fleet_matches_the_frozen_single_process_payload(
         scheduler, fastforward, trace_level, catalog, monkeypatch):
     """Two shards reproduce the frozen single-process payload byte for
-    byte, for every scheduler x core path x trace level combination (all
-    knobs through their environment switches, which the shard worker
-    processes inherit)."""
-    monkeypatch.setenv("REPRO_FLEET_SCHEDULER", scheduler)
+    byte, for every scheduler x core path x trace level combination (the
+    knobs through their environment switches, and the fleet loop through
+    the oracle swap, all of which the forked shard workers inherit)."""
+    use_reference(monkeypatch, scheduler=scheduler)
     monkeypatch.setenv("REPRO_CORE_FASTFORWARD", fastforward)
     monkeypatch.setenv("REPRO_FLEET_TRACE_LEVEL", trace_level)
     payload = run_fleet_sharded(get_scenario("multi_region_hetero"),
