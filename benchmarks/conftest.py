@@ -10,8 +10,9 @@ Run with::
     pytest benchmarks/ --benchmark-only
 
 Every campaign grid runs through :class:`repro.sweeps.SweepRunner`; two
-environment variables control the sweep engine without changing results
-(per-cell seeding is order- and worker-independent):
+environment variables (declared in :mod:`repro.config`) control the sweep
+engine without changing results (per-cell seeding is order- and
+worker-independent):
 
 * ``REPRO_SWEEP_WORKERS`` — worker processes per sweep (default: serial);
 * ``REPRO_SWEEP_CACHE`` — directory for the per-cell JSON result cache
@@ -23,14 +24,12 @@ asserts the qualitative shape the paper reports.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
+from repro import config
 from repro.measurement.checkpoint_campaign import run_checkpoint_campaign
 from repro.measurement.revocation_campaign import run_revocation_campaign
 from repro.measurement.speed_campaign import run_speed_campaign
-from repro.sweeps.runner import default_worker_count, parse_workers
 from repro.workloads.catalog import NAMED_MODELS, default_catalog
 
 #: Steps per speed measurement used by the benches.  The paper uses 4000;
@@ -41,24 +40,14 @@ BENCH_MEASUREMENT_STEPS = 2000
 
 @pytest.fixture(scope="session")
 def sweep_workers():
-    """Sweep workers from ``REPRO_SWEEP_WORKERS``: a count, ``auto``, or
-    unset/empty for the serial default."""
-    raw = os.environ.get("REPRO_SWEEP_WORKERS", "")
-    try:
-        value = parse_workers(raw)
-    except ValueError:
-        raise pytest.UsageError(
-            "REPRO_SWEEP_WORKERS must be a non-negative integer or 'auto', "
-            f"got {raw!r}")
-    if value == "auto":
-        return default_worker_count()
-    return value if value > 1 else None
+    """Sweep workers from ``REPRO_SWEEP_WORKERS``: a count or ``auto``."""
+    return config.SWEEP_WORKERS.get()
 
 
 @pytest.fixture(scope="session")
 def sweep_cache_dir():
     """Sweep result cache directory, from ``REPRO_SWEEP_CACHE`` (off default)."""
-    return os.environ.get("REPRO_SWEEP_CACHE") or None
+    return config.SWEEP_CACHE.get()
 
 
 @pytest.fixture(scope="session")

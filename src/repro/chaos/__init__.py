@@ -21,9 +21,6 @@ See :mod:`repro.chaos.plan` for the spec grammar and the fault kinds.
 """
 
 from repro.chaos.plan import (
-    CHAOS_ENV,
-    CHAOS_INCARNATION_ENV,
-    CHAOS_LOG_ENV,
     FAULT_KINDS,
     ChaosMonitor,
     Fault,
@@ -35,9 +32,6 @@ from repro.chaos.plan import (
 )
 
 __all__ = [
-    "CHAOS_ENV",
-    "CHAOS_INCARNATION_ENV",
-    "CHAOS_LOG_ENV",
     "FAULT_KINDS",
     "ChaosMonitor",
     "Fault",

@@ -55,18 +55,8 @@ import time
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro import config
 from repro.errors import ConfigurationError
-
-#: Environment variable holding the active fault spec.
-CHAOS_ENV = "REPRO_CHAOS"
-
-#: Environment variable naming the JSON-lines injection log file.
-CHAOS_LOG_ENV = "REPRO_CHAOS_LOG"
-
-#: Environment variable carrying a pooled worker's spawn generation
-#: (set by the sweep runner before each process-pool (re)creation, so
-#: retried cells do not re-trigger incarnation-0 faults).
-CHAOS_INCARNATION_ENV = "REPRO_CHAOS_INCARNATION"
 
 #: Exit code chaos-killed processes die with (distinctive in logs).
 CHAOS_EXIT_CODE = 37
@@ -258,26 +248,14 @@ class ChaosMonitor:
 # ---------------------------------------------------------------------------
 # Activation and logging.
 # ---------------------------------------------------------------------------
-_SPEC_CACHE: Dict[str, FaultPlan] = {}
-
-
 def active_plan() -> Optional[FaultPlan]:
     """The plan named by ``REPRO_CHAOS``, or ``None`` (the fast path).
 
-    Parsed plans are cached by spec text, so injection sites can call
-    this per event without re-parsing; an unset variable costs one dict
-    lookup and returns ``None``.
+    The knob keeps the last parsed plan, so injection sites can call this
+    per event without re-parsing; an unset variable costs one dict lookup
+    and returns ``None``.
     """
-    spec = os.environ.get(CHAOS_ENV)
-    if not spec:
-        return None
-    plan = _SPEC_CACHE.get(spec)
-    if plan is None:
-        plan = FaultPlan.from_spec(spec)
-        if len(_SPEC_CACHE) > 64:  # pragma: no cover - pathological churn
-            _SPEC_CACHE.clear()
-        _SPEC_CACHE[spec] = plan
-    return plan
+    return config.CHAOS.get()
 
 
 def worker_incarnation() -> int:
@@ -287,11 +265,7 @@ def worker_incarnation() -> int:
     (re)creation; workers fold it into fault matching so a retried cell
     does not re-trigger the fault that killed its first attempt.
     """
-    raw = os.environ.get(CHAOS_INCARNATION_ENV, "")
-    try:
-        return int(raw) if raw else 0
-    except ValueError:
-        return 0
+    return config.CHAOS_INCARNATION.get()
 
 
 def log_event(event: str, **details: Any) -> None:
@@ -302,7 +276,7 @@ def log_event(event: str, **details: Any) -> None:
     reacted.  Logging failures are swallowed — observability must never
     take down the run it observes.
     """
-    path = os.environ.get(CHAOS_LOG_ENV)
+    path = config.CHAOS_LOG.get()
     if not path:
         return
     record = {"event": event, "pid": os.getpid(),

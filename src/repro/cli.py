@@ -1,63 +1,57 @@
 """Shared command-line plumbing for the repro front ends.
 
-``repro-sweeps``, ``repro-scenarios``, and ``repro-serve`` present the
-same surface where they overlap: the ``--workers`` / ``--cache-dir`` /
-``--seed`` / ``--json`` flags of the ``run`` / ``resume`` subcommands, the
-"resume requires a cache" check, and the exit-code conventions (0 for a
-broken pipe so ``| head`` stays clean, 1 with an ``error:`` line for any
-:class:`~repro.errors.ReproError`).  This module is the single home of
-that plumbing, so the front ends cannot drift apart flag by flag.
+``repro-sweeps``, ``repro-scenarios``, ``repro-telemetry``, and
+``repro-serve`` present the same surface where they overlap: the
+``--workers`` / ``--cache-dir`` / ``--seed`` / ``--json`` flags of the
+``run`` / ``resume`` subcommands, the flags that override a runtime knob
+(declared in :mod:`repro.config`), the "resume requires a cache" check,
+and the exit-code conventions (0 for a broken pipe so ``| head`` stays
+clean, 1 with an ``error:`` line for any :class:`~repro.errors.ReproError`,
+a malformed ``REPRO_*`` variable included).  This module is the single
+home of that plumbing, so the front ends cannot drift apart flag by flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Optional, Sequence
 
+from repro import config
 from repro.errors import ReproError
-from repro.sweeps.runner import parse_workers
-
-#: Environment default for ``--workers`` (matching the benchmark harness).
-SWEEP_WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 
-def parse_workers_arg(text: str):
-    """Argparse type for ``--workers``: an integer, or ``auto``.
+def add_knob_arguments(sub: argparse.ArgumentParser,
+                       *knobs: config.Knob) -> None:
+    """Attach the flags that override ``knobs`` for one invocation.
 
-    Wraps :func:`repro.sweeps.runner.parse_workers` so every front end
-    accepts and rejects exactly the same values with the same message.
+    Help text comes from the registry; a value the knob's parser rejects
+    is a usage error.  The flag keeps its text — :func:`run_cli` exports it
+    to the environment, where the library reads it back.
     """
-    try:
-        return parse_workers(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--workers expects a non-negative integer or 'auto' (got {text!r})")
-
-
-def default_workers() -> str:
-    """The ``--workers`` default: ``REPRO_SWEEP_WORKERS`` or ``"1"``."""
-    return os.environ.get(SWEEP_WORKERS_ENV, "") or "1"
+    for knob in knobs:
+        def check(text: str, knob: config.Knob = knob) -> str:
+            try:
+                knob.parse(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(f"{exc}, got {text!r}")
+            return text
+        sub.add_argument(knob.flag, dest=knob.name, type=check, default=None,
+                         metavar=knob.metavar,
+                         help=f"{knob.doc} (default: {knob.name} or "
+                              f"{config.render(knob.default)})")
 
 
 def add_run_resume_arguments(sub: argparse.ArgumentParser, *,
                              name_help: str,
-                             workers_default: str = "1",
-                             workers_help: str = ("worker processes, or "
-                                                  "'auto' to size from the "
-                                                  "CPU count (default: 1, "
-                                                  "serial)"),
                              cache_help: str = ("directory for the per-cell "
                                                 "JSON result cache"),
                              json_help: str = ("also write payloads to a "
                                                "JSON file")) -> None:
     """Attach the shared ``run`` / ``resume`` flags to a subparser."""
     sub.add_argument("name", help=name_help)
-    sub.add_argument("--workers", type=parse_workers_arg,
-                     default=parse_workers_arg(workers_default),
-                     help=workers_help)
+    add_knob_arguments(sub, config.SWEEP_WORKERS)
     sub.add_argument("--cache-dir", default=None, help=cache_help)
     sub.add_argument("--seed", type=int, default=0, help="root RNG seed")
     sub.add_argument("--json", dest="json_out", default=None, metavar="PATH",
@@ -79,15 +73,25 @@ def write_json_out(path: str, document: Any, count: int, what: str) -> None:
     print(f"wrote {count} {what} to {path}")
 
 
-def run_cli(body: Callable[[], int]) -> int:
-    """Run a CLI body under the shared exit-code conventions.
+def run_cli(parser: argparse.ArgumentParser,
+            argv: Optional[Sequence[str]],
+            dispatch: Callable[[argparse.Namespace], int]) -> int:
+    """Parse ``argv`` and run ``dispatch(args)`` under the shared conventions.
 
-    ``BrokenPipeError`` (output piped to a consumer that closed early,
-    e.g. ``| head``) exits 0; any :class:`~repro.errors.ReproError` prints
-    an ``error:`` line and exits 1.
+    Knob flags override their variables for the call (sweep pool workers
+    and shard processes inherit them, and the sweep cache fingerprint sees
+    them); the environment is restored afterwards.  Every knob is
+    validated before any work starts.  ``BrokenPipeError`` (output piped to
+    a consumer that closed early, e.g. ``| head``) exits 0; any
+    :class:`~repro.errors.ReproError` prints an ``error:`` line and exits 1.
     """
     try:
-        return body()
+        args = parser.parse_args(argv)
+        with config.scoped({knob: getattr(args, knob.name, None)
+                            for knob in config.KNOBS}):
+            for knob in config.KNOBS:
+                knob.get()
+            return dispatch(args)
     except BrokenPipeError:
         return 0
     except ReproError as exc:

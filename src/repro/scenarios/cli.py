@@ -9,47 +9,34 @@ Usage::
 ``run`` fans a scenario's replicates out through the sweep engine (serial
 and parallel runs are bit-identical); with ``--cache-dir`` completed fleet
 cells persist, so ``resume`` (or an interrupted ``run``) picks up where it
-stopped.  ``--workers`` defaults to the ``REPRO_SWEEP_WORKERS`` environment
-variable, matching the benchmark harness.
+stopped.  ``--workers``, ``--trace-level``, ``--shards`` and ``--chaos``
+override their ``REPRO_*`` variables (:mod:`repro.config`) for the
+invocation, and default to them; ``--shards`` and ``--trace-level`` are
+fingerprinted into the sweep cache key, so runs under different settings
+never share entries.
 
 ``--warm-seconds`` and ``--placement`` derive a variant of the named
 scenario (warm pool enabled / placement mode overridden) before it runs;
 because the derived spec has different parameters it also keys different
 cache entries, so overridden and stock runs never collide in a shared
 ``--cache-dir``.
-
-``--shards`` runs each fleet across N worker processes
-(:mod:`repro.scenarios.shard`); payloads are bit-identical to ``--shards
-1``, and like the other runtime knobs the setting is fingerprinted into
-the sweep cache key, so differently-sharded runs never share entries.
-
-``--chaos`` activates the deterministic fault-injection harness
-(:mod:`repro.chaos`) for the run — e.g. ``--chaos
-'shard_crash:shard=0,at=2'`` kills shard 0 at its second draw request
-and the supervisor must restart-replay it to the bit-identical payload.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 from typing import Optional, Sequence
 
-from repro import chaos
+from repro import config
 from repro.cli import (
+    add_knob_arguments,
     add_run_resume_arguments,
-    default_workers,
     resume_requires_cache,
     run_cli,
     write_json_out,
 )
 from repro.scenarios.catalog import get_scenario, list_scenarios
-from repro.scenarios.fleet import (
-    FLEET_SHARDS_ENV,
-    FLEET_TRACE_LEVEL_ENV,
-    apply_fleet_axes,
-    run_scenario,
-)
+from repro.scenarios.fleet import apply_fleet_axes, run_scenario
 from repro.scenarios.report import fleet_summary_table
 from repro.scenarios.spec import PLACEMENTS
 
@@ -68,19 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(command, help=help_text)
         add_run_resume_arguments(
             sub, name_help="named scenario",
-            workers_default=default_workers(),
-            workers_help="worker processes, or 'auto' (default: "
-                         "REPRO_SWEEP_WORKERS or 1)",
             cache_help="directory for the per-fleet JSON result cache",
             json_help="also write fleet payloads to a JSON file")
         sub.add_argument("--replicates", type=int, default=2,
                          help="independent fleet replicates (default: 2)")
-        sub.add_argument("--trace-level", choices=("full", "summary"),
-                         default=None,
-                         help="per-session trace detail: 'summary' keeps "
-                              "aggregates only, so very large fleets fit "
-                              "in memory (payloads are identical; default: "
-                              "REPRO_FLEET_TRACE_LEVEL or 'full')")
+        add_knob_arguments(sub, config.FLEET_TRACE_LEVEL, config.FLEET_SHARDS,
+                           config.CHAOS)
         sub.add_argument("--warm-seconds", type=float, default=None,
                          metavar="SECONDS",
                          help="enable the warm pool: reclaimed capacity "
@@ -88,18 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "long and are re-acquired via the Fig. 10 "
                               "warm path (0 forces cold-only; default: "
                               "the scenario's own setting)")
-        sub.add_argument("--shards", type=int, default=None, metavar="N",
-                         help="run each fleet across N worker processes "
-                              "(repro.scenarios.shard); payloads are "
-                              "bit-identical to --shards 1 at any count "
-                              "(default: REPRO_FLEET_SHARDS or 1)")
-        sub.add_argument("--chaos", default=None, metavar="SPEC",
-                         help="inject deterministic faults (repro.chaos): "
-                              "';'-separated entries like "
-                              "'shard_crash:shard=0,at=2', plus optional "
-                              "'seed=N'; recovery must reproduce the "
-                              "fault-free payloads bit-identically "
-                              "(default: REPRO_CHAOS or none)")
         sub.add_argument("--telemetry-out", default=None, metavar="PATH",
                          help="also export replicate 0's columnar telemetry "
                               "(step chunks + revocation draws) as a .npz "
@@ -133,63 +101,37 @@ def _apply_overrides(scenario, args):
     return apply_fleet_axes(scenario, overrides)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-
-    def body() -> int:
-        if args.command == "list":
-            for scenario in list_scenarios():
-                print(f"{scenario.name:24s} {scenario.describe():44s} "
-                      f"{scenario.description}")
-            return 0
-
-        if resume_requires_cache(args):
-            return 2
-
-        # Environment plumbing so pooled sweep workers (which inherit the
-        # environment) and the cache-key fingerprint agree; scoped to this
-        # invocation so repeated main() calls in one process do not leak
-        # the settings into each other.
-        knobs = {}
-        if getattr(args, "trace_level", None):
-            knobs[FLEET_TRACE_LEVEL_ENV] = args.trace_level
-        if getattr(args, "shards", None) is not None:
-            knobs[FLEET_SHARDS_ENV] = str(args.shards)
-        if getattr(args, "chaos", None):
-            # Validate the spec up front so a typo fails as a clean
-            # ``error:`` line, not deep inside a shard worker.
-            chaos.FaultPlan.from_spec(args.chaos)
-            knobs[chaos.CHAOS_ENV] = args.chaos
-        previous = {env: os.environ.get(env) for env in knobs}
-        os.environ.update(knobs)
-        try:
-            scenario = _apply_overrides(get_scenario(args.name), args)
-            result = run_scenario(scenario, replicates=args.replicates,
-                                  seed=args.seed, workers=args.workers,
-                                  cache_dir=args.cache_dir)
-            if getattr(args, "telemetry_out", None):
-                from repro.telemetry.export import export_fleet_telemetry
-                export_fleet_telemetry(
-                    scenario, args.telemetry_out, seed=args.seed,
-                    shards=args.shards, trace_level=args.trace_level)
-                print(f"wrote telemetry artifact {args.telemetry_out}")
-        finally:
-            for env, value in previous.items():
-                if value is None:
-                    os.environ.pop(env, None)
-                else:
-                    os.environ[env] = value
-        print(result.summary())
-        print(fleet_summary_table(result))
-        if args.json_out:
-            write_json_out(args.json_out,
-                           {"scenario": scenario.name, "seed": args.seed,
-                            "fleets": result.payloads()},
-                           len(result), "fleet payloads")
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "list":
+        for scenario in list_scenarios():
+            print(f"{scenario.name:24s} {scenario.describe():44s} "
+                  f"{scenario.description}")
         return 0
 
-    return run_cli(body)
+    if resume_requires_cache(args):
+        return 2
+
+    scenario = _apply_overrides(get_scenario(args.name), args)
+    result = run_scenario(scenario, replicates=args.replicates,
+                          seed=args.seed, workers=config.SWEEP_WORKERS.get(),
+                          cache_dir=args.cache_dir)
+    if args.telemetry_out:
+        from repro.telemetry.export import export_fleet_telemetry
+        export_fleet_telemetry(scenario, args.telemetry_out, seed=args.seed)
+        print(f"wrote telemetry artifact {args.telemetry_out}")
+    print(result.summary())
+    print(fleet_summary_table(result))
+    if args.json_out:
+        write_json_out(args.json_out,
+                       {"scenario": scenario.name, "seed": args.seed,
+                        "fleets": result.payloads()},
+                       len(result), "fleet payloads")
+    return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    return run_cli(build_parser(), argv, _dispatch)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -69,10 +69,10 @@ regression gate).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import replace as dataclass_replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
+from repro import config
 from repro.cloud.machines import PARAMETER_SERVER_MACHINE, gpu_worker_machine
 from repro.cloud.pricing import PriceCatalog, default_price_catalog
 from repro.cloud.regions import get_region
@@ -117,39 +117,6 @@ FLEET_AXES = ("pool_size", "queue_policy", "warm_seconds", "launch_hour",
 
 #: Valid ``queue_policy`` axis values.
 QUEUE_POLICIES = ("deny", "queue")
-
-#: Environment switch selecting the per-session trace level (default
-#: ``full``; ``summary`` keeps aggregates only).
-FLEET_TRACE_LEVEL_ENV = "REPRO_FLEET_TRACE_LEVEL"
-
-#: Environment switch selecting the fleet shard count (default 1: the
-#: single-process run loop below, byte-identically unchanged).  Values > 1
-#: route ``fleet_cell`` through :func:`repro.scenarios.shard.run_fleet_sharded`,
-#: which partitions the fleet's jobs and pool cells across worker
-#: processes; payloads stay bit-identical by contract.
-FLEET_SHARDS_ENV = "REPRO_FLEET_SHARDS"
-
-
-def _trace_level_default() -> str:
-    return (os.environ.get(FLEET_TRACE_LEVEL_ENV, "").strip().lower()
-            or "full")
-
-
-def _shards_default() -> int:
-    """The effective ``REPRO_FLEET_SHARDS`` value (>= 1; default 1)."""
-    raw = os.environ.get(FLEET_SHARDS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        shards = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{FLEET_SHARDS_ENV} must be a positive integer, got {raw!r}")
-    if shards < 1:
-        raise ConfigurationError(
-            f"{FLEET_SHARDS_ENV} must be >= 1, got {shards}")
-    return shards
-
 
 class FleetJobController(CMDareController):
     """A CM-DARE controller whose replacements contend on a shared pool.
@@ -330,8 +297,8 @@ class FleetRun:
         self.prices = (price_catalog if price_catalog is not None
                        else default_price_catalog())
         self.fast_forward = fast_forward
-        self.trace_level = (trace_level if trace_level is not None
-                            else _trace_level_default())
+        self.trace_level = config.FLEET_TRACE_LEVEL.resolve(trace_level,
+                                                            "trace_level")
         epoch = (scenario.epoch_hour_utc if scenario.epoch_hour_utc is not None
                  else float(streams.get("epoch").uniform(0, 24)))
         self.simulator = Simulator(epoch_hour_utc=epoch)
@@ -824,7 +791,7 @@ def fleet_cell(cell: SweepCell, streams: RandomStreams,
     """
     scenario = ScenarioSpec.from_params(cell.params["scenario"])
     scenario = apply_fleet_axes(scenario, cell.params)
-    shards = _shards_default()
+    shards = config.FLEET_SHARDS.get()
     if shards > 1:
         from repro.scenarios.shard import run_fleet_sharded
 

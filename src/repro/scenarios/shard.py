@@ -82,7 +82,7 @@ grant time, a crash between grant and receipt loses nothing — the replay
 re-delivers the logged outcome.  Stale queue entries from a dead
 incarnation are skipped at grant time (each queued request carries its
 sender's incarnation).  The restart budget (``max_restarts`` /
-``REPRO_SHARD_RESTARTS``, default 3 per fleet) bounds the loop: once
+``REPRO_SHARD_RESTARTS``, per fleet) bounds the loop: once
 exhausted, the run raises :class:`~repro.errors.SimulationError` and the
 driver's ``finally`` reaps every child.  Deterministic child *errors*
 (the ``error`` message, e.g. a bad model name) still fail fast without a
@@ -125,18 +125,17 @@ from __future__ import annotations
 import heapq
 import math
 import multiprocessing
-import os
 import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro import chaos
+from repro import chaos, config
 from repro.cloud.pricing import PriceCatalog
 from repro.cloud.regions import get_region
 from repro.cloud.revocation import RevocationModel
 from repro.errors import ConfigurationError, SimulationError
-from repro.scenarios.fleet import FleetRun, _shards_default
+from repro.scenarios.fleet import FleetRun
 from repro.scenarios.pool import TransientPool
 from repro.scenarios.spec import PoolKey, ScenarioSpec
 from repro.simulation.rng import RandomStreams
@@ -153,47 +152,6 @@ __all__ = [
     "partition_scenario",
     "run_fleet_sharded",
 ]
-
-#: Environment default for the per-fleet shard restart budget.
-SHARD_RESTARTS_ENV = "REPRO_SHARD_RESTARTS"
-DEFAULT_MAX_RESTARTS = 3
-
-#: Environment default for the shard heartbeat deadline (seconds).
-SHARD_HEARTBEAT_ENV = "REPRO_SHARD_HEARTBEAT_SECONDS"
-DEFAULT_HEARTBEAT_SECONDS = 60.0
-
-
-def _max_restarts_default() -> int:
-    raw = os.environ.get(SHARD_RESTARTS_ENV, "")
-    if not raw:
-        return DEFAULT_MAX_RESTARTS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SHARD_RESTARTS_ENV} expects a non-negative integer, "
-            f"got {raw!r}")
-    if value < 0:
-        raise ConfigurationError(
-            f"{SHARD_RESTARTS_ENV} must be >= 0, got {value}")
-    return value
-
-
-def _heartbeat_default() -> float:
-    raw = os.environ.get(SHARD_HEARTBEAT_ENV, "")
-    if not raw:
-        return DEFAULT_HEARTBEAT_SECONDS
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SHARD_HEARTBEAT_ENV} expects a positive number of seconds, "
-            f"got {raw!r}")
-    if value <= 0:
-        raise ConfigurationError(
-            f"{SHARD_HEARTBEAT_ENV} must be > 0, got {value}")
-    return value
-
 
 # ---------------------------------------------------------------------------
 # Deterministic cross-shard messaging.
@@ -291,8 +249,7 @@ def partition_scenario(scenario: ScenarioSpec,
     whole fleet into one component by design, so it always yields a single
     group (which the driver then runs on the ordinary single-process path).
     """
-    if shards < 1:
-        raise ConfigurationError(f"shards must be >= 1, got {shards}")
+    shards = config.FLEET_SHARDS.check(shards, "shards")
     total = len(scenario.jobs)
     all_cells = tuple(sorted(scenario.pool_capacity))
     whole = [ShardGroup(index=0, job_indices=tuple(range(total)),
@@ -579,13 +536,12 @@ class ShardedFleetRun:
     single-process :class:`~repro.scenarios.fleet.FleetRun` verbatim, which
     is the ``shards=1`` byte-identity contract.
 
-    Supervision knobs (see the module docstring's restart-replay design):
-    ``max_restarts`` bounds supervised respawns per fleet (default
-    ``REPRO_SHARD_RESTARTS`` or 3; 0 disables restarts) and
-    ``heartbeat_seconds`` is the silence deadline after which a shard
-    that is neither done nor awaiting a grant is declared dead (default
-    ``REPRO_SHARD_HEARTBEAT_SECONDS`` or 60).  :attr:`restarts` records
-    every supervised restart for observability.
+    Supervision knobs (see the module docstring's restart-replay design;
+    ``None`` reads the :mod:`repro.config` knob): ``max_restarts``
+    (``REPRO_SHARD_RESTARTS``) bounds supervised respawns per fleet and
+    ``heartbeat_seconds`` (``REPRO_SHARD_HEARTBEAT_SECONDS``) is the
+    silence deadline after which a shard is declared dead.
+    :attr:`restarts` records every supervised restart for observability.
     """
 
     def __init__(self, scenario: ScenarioSpec, streams: RandomStreams,
@@ -607,22 +563,11 @@ class ShardedFleetRun:
         #: picklable spool description each shard (or the single-process
         #: fallback) opens for itself.
         self.telemetry = telemetry
-        self.shards = _shards_default() if shards is None else int(shards)
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}")
-        self.max_restarts = (_max_restarts_default() if max_restarts is None
-                             else int(max_restarts))
-        if self.max_restarts < 0:
-            raise ConfigurationError(
-                f"max_restarts must be >= 0, got {self.max_restarts}")
-        self.heartbeat_seconds = (_heartbeat_default()
-                                  if heartbeat_seconds is None
-                                  else float(heartbeat_seconds))
-        if self.heartbeat_seconds <= 0:
-            raise ConfigurationError(
-                f"heartbeat_seconds must be > 0, got "
-                f"{self.heartbeat_seconds}")
+        self.shards = config.FLEET_SHARDS.resolve(shards, "shards")
+        self.max_restarts = config.SHARD_RESTARTS.resolve(max_restarts,
+                                                          "max_restarts")
+        self.heartbeat_seconds = config.SHARD_HEARTBEAT_SECONDS.resolve(
+            heartbeat_seconds, "heartbeat_seconds")
         self.groups = partition_scenario(scenario, self.shards)
         self.events_processed = 0
         #: One record per supervised restart: shard index, incarnation,
@@ -981,7 +926,7 @@ def run_fleet_sharded(scenario: ScenarioSpec, streams: RandomStreams,
     """Simulate one fleet across ``shards`` supervised worker processes.
 
     Drop-in for :func:`repro.scenarios.fleet.run_fleet` with extra knobs:
-    ``shards`` (``None`` reads ``REPRO_FLEET_SHARDS``, default 1),
+    ``shards`` (``None`` reads ``REPRO_FLEET_SHARDS``),
     ``telemetry`` (an optional
     :class:`repro.telemetry.writer.TelemetryConfig` every shard spools
     into), and the supervision bounds ``max_restarts`` /

@@ -211,30 +211,29 @@ async def _serve_forever(args: argparse.Namespace) -> int:
     return 0
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "query":
+        if args.connect is not None:
+            return _query_remote(args)
+        advisor = LaunchAdvisor(samples_per_option=args.samples,
+                                seed=args.seed)
+        decision = PlacementService(advisor=advisor).answer_now(
+            _build_query(args))
+        return _print_decision(decision.to_params(), args,
+                               count_key="options")
+    try:
+        return asyncio.run(_serve_forever(args))
+    except OSError as exc:
+        print(f"error: cannot bind {args.host}:{args.port} ({exc})",
+              file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:  # pragma: no cover - interactive stop
+        return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-
-    def body() -> int:
-        if args.command == "query":
-            if args.connect is not None:
-                return _query_remote(args)
-            advisor = LaunchAdvisor(samples_per_option=args.samples,
-                                    seed=args.seed)
-            decision = PlacementService(advisor=advisor).answer_now(
-                _build_query(args))
-            return _print_decision(decision.to_params(), args,
-                                   count_key="options")
-        try:
-            return asyncio.run(_serve_forever(args))
-        except OSError as exc:
-            print(f"error: cannot bind {args.host}:{args.port} ({exc})",
-                  file=sys.stderr)
-            return 2
-        except KeyboardInterrupt:  # pragma: no cover - interactive stop
-            return 0
-
-    return run_cli(body)
+    return run_cli(build_parser(), argv, _dispatch)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -4,13 +4,13 @@ Each completed cell is stored as one JSON file under
 ``<root>/<sweep name>/<cache key>.json``.  The cache key is a stable hash
 covering the library version, the sweep name, the root seed, the cell
 parameters, and a runner-supplied composite of the library source digest,
-the cell-function source digest, the effective runtime toggles (e.g. the
-``REPRO_CORE_FASTFORWARD`` core path), and the context fingerprint (see
+the cell-function source digest, the fingerprinted runtime knobs (e.g. the
+``REPRO_CORE_FASTFORWARD`` core path; :func:`repro.config.fingerprint`),
+and the context fingerprint (see
 :meth:`repro.sweeps.spec.SweepCell.cache_key` and the ``_code_key`` /
-``_library_source_digest`` / ``_runtime_knobs_key`` helpers in
-:mod:`repro.sweeps.runner`), so editing any library or cell code, flipping
-a behavior-changing env knob, changing the catalog, or upgrading the
-package all invalidate correctly.  Re-running the same sweep with the same
+``_library_source_digest`` helpers in :mod:`repro.sweeps.runner`), so
+editing any library or cell code, flipping a compute-path knob, changing
+the catalog, or upgrading the package all invalidate correctly.  Re-running the same sweep with the same
 code, spec, and seed skips every completed cell, which is also how
 interrupted sweeps resume.
 

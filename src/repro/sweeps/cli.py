@@ -9,7 +9,8 @@ Usage::
 ``run`` executes a registered sweep; with ``--cache-dir`` every completed
 cell is persisted, so an interrupted run (or ``resume``, which requires a
 cache directory) picks up where it stopped.  ``--set axis=v1,v2``
-overrides an axis of the default spec.
+overrides an axis of the default spec.  ``--workers`` defaults to the
+``REPRO_SWEEP_WORKERS`` environment variable, as on ``repro-scenarios``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import argparse
 import json
 from typing import Any, List, Optional, Sequence, Tuple
 
+from repro import config
 from repro.cli import (
     add_run_resume_arguments,
-    parse_workers_arg,
     resume_requires_cache,
     run_cli,
     write_json_out,
@@ -28,10 +29,6 @@ from repro.cli import (
 from repro.sweeps.registry import get_sweep, list_sweeps
 from repro.sweeps.result import SweepResult
 from repro.sweeps.runner import SweepRunner
-
-# Historical import location (the scenarios CLI used to share the
-# ``--workers`` type from here); the canonical home is ``repro.cli``.
-_parse_workers = parse_workers_arg
 
 
 def _parse_axis_override(text: str) -> Tuple[str, List[Any]]:
@@ -96,42 +93,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-
-    def body() -> int:
-        if args.command == "list":
-            for definition in list_sweeps():
-                spec = definition.build_spec()
-                print(f"{definition.name:24s} {len(spec):4d} cells  "
-                      f"{definition.description}")
-            return 0
-
-        if resume_requires_cache(args):
-            return 2
-
-        definition = get_sweep(args.name)
-        spec = definition.build_spec()
-        if args.overrides:
-            spec = spec.with_axes(**dict(args.overrides))
-        context = (definition.build_context()
-                   if definition.build_context is not None else None)
-        runner = SweepRunner(workers=args.workers, cache_dir=args.cache_dir,
-                             seed=args.seed)
-        result = runner.run(spec, definition.cell_fn, context=context)
-        print(result.summary())
-        print(_render(result, definition))
-        if args.json_out:
-            write_json_out(args.json_out,
-                           {"sweep": spec.name, "seed": args.seed,
-                            "cells": [{"params": r.cell.params,
-                                       "payload": r.payload}
-                                      for r in result.results]},
-                           len(result), "cell payloads")
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "list":
+        for definition in list_sweeps():
+            spec = definition.build_spec()
+            print(f"{definition.name:24s} {len(spec):4d} cells  "
+                  f"{definition.description}")
         return 0
 
-    return run_cli(body)
+    if resume_requires_cache(args):
+        return 2
+
+    definition = get_sweep(args.name)
+    spec = definition.build_spec()
+    if args.overrides:
+        spec = spec.with_axes(**dict(args.overrides))
+    context = (definition.build_context()
+               if definition.build_context is not None else None)
+    runner = SweepRunner(workers=config.SWEEP_WORKERS.get(),
+                         cache_dir=args.cache_dir, seed=args.seed)
+    result = runner.run(spec, definition.cell_fn, context=context)
+    print(result.summary())
+    print(_render(result, definition))
+    if args.json_out:
+        write_json_out(args.json_out,
+                       {"sweep": spec.name, "seed": args.seed,
+                        "cells": [{"params": r.cell.params,
+                                   "payload": r.payload}
+                                  for r in result.results]},
+                       len(result), "cell payloads")
+    return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    return run_cli(build_parser(), argv, _dispatch)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

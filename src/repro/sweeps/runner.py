@@ -14,8 +14,8 @@ of the same spec and seed.
 Transient-failure contract: a worker process that *dies* (surfacing as
 :class:`concurrent.futures.process.BrokenProcessPool`) is not a cell
 failure — the pool is recreated and the not-yet-completed cells are
-resubmitted, up to ``max_retries`` times (``REPRO_SWEEP_RETRIES``,
-default 2), before a :class:`SweepExecutionError` surfaces.  Because
+resubmitted, up to ``max_retries`` times (``REPRO_SWEEP_RETRIES``),
+before a :class:`SweepExecutionError` surfaces.  Because
 cells are deterministic in ``(root seed, sweep name, cell parameters)``,
 a resubmitted cell produces the identical payload, so retries preserve
 the resume/cache contract exactly.  A cell function that *raises* is
@@ -54,8 +54,8 @@ from concurrent.futures import (
 )
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import chaos
-from repro.errors import ConfigurationError, ReproError
+from repro import chaos, config
+from repro.errors import ReproError
 from repro.simulation.rng import RandomStreams
 from repro.sweeps.cache import MISS, SweepCache, canonicalize
 from repro.sweeps.result import CellResult, SweepResult
@@ -63,29 +63,6 @@ from repro.sweeps.spec import SweepCell, SweepSpec
 
 #: A cell function: ``(cell, streams, context) -> JSON-encodable payload``.
 CellFunction = Callable[[SweepCell, RandomStreams, Any], Any]
-
-#: Environment override for the pooled-execution retry budget.
-SWEEP_RETRIES_ENV = "REPRO_SWEEP_RETRIES"
-
-#: Default extra attempts after a worker-process death breaks the pool.
-DEFAULT_MAX_RETRIES = 2
-
-
-def _max_retries_default() -> int:
-    raw = os.environ.get(SWEEP_RETRIES_ENV, "")
-    if not raw:
-        return DEFAULT_MAX_RETRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SWEEP_RETRIES_ENV} expects a non-negative integer, "
-            f"got {raw!r}")
-    if value < 0:
-        raise ConfigurationError(
-            f"{SWEEP_RETRIES_ENV} must be >= 0, got {value}")
-    return value
-
 
 class SweepExecutionError(ReproError):
     """Raised when a sweep cell fails; names the offending cell."""
@@ -143,22 +120,6 @@ def default_worker_count() -> int:
     return max(1, min(8, (os.cpu_count() or 2) - 1))
 
 
-def parse_workers(text: str):
-    """Parse a worker-count string: a non-negative integer or ``"auto"``.
-
-    Shared by the CLI and the benchmark harness so both front ends accept
-    and reject exactly the same values.  Raises :class:`ValueError` for
-    anything else, including negative counts.
-    """
-    raw = str(text).strip().lower()
-    if raw == "auto":
-        return "auto"
-    value = int(raw or "0")
-    if value < 0:
-        raise ValueError(f"workers must be non-negative, got {value}")
-    return value
-
-
 @functools.lru_cache(maxsize=1)
 def _library_source_digest() -> str:
     """A digest of every ``repro`` source file, computed once per process.
@@ -179,32 +140,6 @@ def _library_source_digest() -> str:
         return digest.hexdigest()[:16]
     except OSError:  # pragma: no cover - exotic install layouts
         return f"v{repro.__version__}"
-
-
-def _runtime_knobs_key() -> str:
-    """A fingerprint of process-wide runtime toggles that cells inherit.
-
-    Cell functions run library code whose behavior can be switched by
-    environment knobs — the simulation core's fast-forward toggle
-    (``REPRO_CORE_FASTFORWARD`` / ``fast_forward``), the fleet trace level
-    (``REPRO_FLEET_TRACE_LEVEL``), and the fleet shard count
-    (``REPRO_FLEET_SHARDS``).  The *effective* normalized settings are
-    fingerprinted (so ``"0"``, ``"false"``, and ``"off"`` key identically,
-    as do defaults and unset), and folded into every cache key: a warm
-    cache can never silently mix payloads computed under different paths,
-    even ones whose equivalence is only contractual.  Worker processes
-    inherit the parent's environment, so the parent-side value covers
-    pooled execution too.
-    """
-    from repro.scenarios.fleet import _shards_default, _trace_level_default
-    from repro.training.session import _fast_forward_default
-
-    knobs = {
-        "core_fastforward": "1" if _fast_forward_default() else "0",
-        "fleet_shards": str(_shards_default()),
-        "fleet_trace_level": _trace_level_default(),
-    }
-    return ",".join(f"{key}={value}" for key, value in sorted(knobs.items()))
 
 
 def _code_key(cell_fn: CellFunction) -> str:
@@ -230,32 +165,29 @@ class SweepRunner:
 
     Args:
         workers: Worker processes.  ``None``, 0, or 1 run cells serially
-            in-process; ``"auto"`` picks from the CPU count.
+            in-process; ``"auto"`` picks from the CPU count (the
+            ``REPRO_SWEEP_WORKERS`` grammar, :mod:`repro.config`).
         cache_dir: Directory for the JSON result cache; caching is
             disabled when omitted.
         seed: Default root seed for runs that don't pass one.
         max_retries: Extra pooled attempts after a worker-process death
-            (``BrokenProcessPool``) before the run fails; defaults to
-            ``REPRO_SWEEP_RETRIES`` or 2.  Each retry recreates the pool
-            and resubmits only the cells without results yet.
+            (``BrokenProcessPool``) before the run fails; ``None`` reads
+            ``REPRO_SWEEP_RETRIES``.  Each retry recreates the pool and
+            resubmits only the cells without results yet.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  cache_dir: Optional[os.PathLike] = None, seed: int = 0,
                  max_retries: Optional[int] = None):
+        if workers is not None:
+            workers = config.SWEEP_WORKERS.check(workers, "workers")
         if workers == "auto":
             workers = default_worker_count()
-        if workers is not None and int(workers) < 0:
-            raise ConfigurationError("workers must be non-negative")
-        self.workers = max(1, int(workers)) if workers else 1
+        self.workers = max(1, workers) if workers else 1
         self.cache = SweepCache(cache_dir) if cache_dir is not None else None
         self.seed = int(seed)
-        if max_retries is None:
-            max_retries = _max_retries_default()
-        if int(max_retries) < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {max_retries}")
-        self.max_retries = int(max_retries)
+        self.max_retries = config.SWEEP_RETRIES.resolve(max_retries,
+                                                        "max_retries")
 
     # ------------------------------------------------------------------
     # Execution.
@@ -282,12 +214,12 @@ class SweepRunner:
             context_key = context.fingerprint()
         # Cache entries are additionally keyed by the cell function's
         # identity + source digest, by a digest of the whole library
-        # source, and by the effective runtime toggles (e.g. the core
+        # source, and by the fingerprinted runtime knobs (e.g. the core
         # fast-forward path), so edits to cell code or its callees and
-        # behavior-changing env knobs all invalidate.
+        # compute-path knobs all invalidate.
         if self.cache:
             context_key = (f"{_library_source_digest()}|{_code_key(cell_fn)}"
-                           f"|{_runtime_knobs_key()}|{context_key or ''}")
+                           f"|{config.fingerprint()}|{context_key or ''}")
         started = time.perf_counter()
         cells = spec.cells()
 
@@ -383,14 +315,11 @@ class SweepRunner:
         chaos ``sweep_kill`` faults scoped to incarnation 0 stay dead on
         the retry.
         """
-        plan = chaos.active_plan()
-        previous = os.environ.get(chaos.CHAOS_INCARNATION_ENV)
-        if plan is not None:
-            os.environ[chaos.CHAOS_INCARNATION_ENV] = str(generation)
+        incarnation = generation if chaos.active_plan() is not None else None
         max_workers = min(self.workers, len(cells))
         failure = None
         broken = None
-        try:
+        with config.scoped({config.CHAOS_INCARNATION: incarnation}):
             with ProcessPoolExecutor(max_workers=max_workers,
                                      initializer=_init_worker,
                                      initargs=(context,)) as pool:
@@ -427,12 +356,6 @@ class SweepRunner:
                                      duration, outcomes)
                     if broken is not None:
                         break
-        finally:
-            if plan is not None:
-                if previous is None:
-                    os.environ.pop(chaos.CHAOS_INCARNATION_ENV, None)
-                else:
-                    os.environ[chaos.CHAOS_INCARNATION_ENV] = previous
         if broken is not None:
             raise broken
         if failure is not None:

@@ -23,7 +23,8 @@ import json
 import sys
 from typing import List, Optional
 
-from repro.cli import run_cli, write_json_out
+from repro import config
+from repro.cli import add_knob_arguments, run_cli, write_json_out
 from repro.errors import ConfigurationError
 from repro.scenarios.catalog import SCENARIO_BUILDERS, get_scenario
 from repro.telemetry.diff import diff_artifacts
@@ -52,11 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--seed", type=int, default=0, help="root RNG seed")
     export.add_argument("--replicate", type=int, default=0,
                         help="which replicate cell to export (default: 0)")
-    export.add_argument("--shards", type=int, default=None,
-                        help=("worker processes (default: REPRO_FLEET_SHARDS "
-                              "or 1)"))
-    export.add_argument("--trace-level", choices=("full", "summary"),
-                        default=None, help="per-session trace level override")
+    add_knob_arguments(export, config.FLEET_SHARDS, config.FLEET_TRACE_LEVEL)
     export.add_argument("--chunk-rows", type=int, default=DEFAULT_CHUNK_ROWS,
                         help="telemetry rows buffered before each flush")
     export.add_argument("--jobs-per-cell", type=int, default=240,
@@ -112,7 +109,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.scenario, args.jobs_per_cell)
     payload = export_fleet_telemetry(
         scenario, args.out, seed=args.seed, replicate=args.replicate,
-        shards=args.shards, trace_level=args.trace_level,
         chunk_rows=args.chunk_rows)
     print(f"exported telemetry for {len(payload['jobs'])} jobs to {args.out}")
     return 0
@@ -160,19 +156,13 @@ def _cmd_recalibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {"export": _cmd_export, "report": _cmd_report,
+             "diff": _cmd_diff, "recalibrate": _cmd_recalibrate}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-
-    def body() -> int:
-        if args.command == "export":
-            return _cmd_export(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "diff":
-            return _cmd_diff(args)
-        return _cmd_recalibrate(args)
-
-    return run_cli(body)
+    return run_cli(build_parser(), argv,
+                   lambda args: _COMMANDS[args.command](args))
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via repro-telemetry

@@ -73,9 +73,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import config
 from repro.cloud.storage import CloudStorage
 from repro.errors import ConfigurationError, TrainingError
 from repro.perf.calibration import SESSION_RESTART_SECONDS
@@ -103,20 +103,12 @@ from repro.training.worker import WorkerState
 #: paper's own speed metric is already a 100-step average.
 DEFAULT_STEPS_PER_EVENT = 10
 
-#: Environment switch for the vectorized fast-forward path (default on).
-FASTFORWARD_ENV = "REPRO_CORE_FASTFORWARD"
-
 #: Chunks whose durations are drawn per RNG call in block mode, and rows
 #: staged before they are flushed to the trace: bounds the fast path's
 #: transient memory (arrays of SEGMENT * steps_per_event floats) without
 #: changing the draws — segmented ``Generator.normal`` fills consume the
 #: bit stream exactly like one big fill.
 FASTFORWARD_SEGMENT_CHUNKS = 1024
-
-
-def _fast_forward_default() -> bool:
-    return os.environ.get(FASTFORWARD_ENV, "1").strip().lower() not in (
-        "0", "false", "off", "no")
 
 
 #: One scheduled-but-not-completed chunk of a worker, stored as a plain
@@ -173,9 +165,8 @@ class TrainingSession:
             raise ConfigurationError("steps_per_event must be >= 1")
         if not 0 <= chief_worker_index < cluster.num_workers:
             raise ConfigurationError("chief_worker_index out of range")
-        if trace_level not in ("full", "summary"):
-            raise ConfigurationError(
-                f"trace_level must be 'full' or 'summary', got {trace_level!r}")
+        trace_level = config.FLEET_TRACE_LEVEL.check(trace_level,
+                                                     "trace_level")
         self.simulator = simulator
         self.cluster = cluster
         self.job = job
@@ -191,8 +182,8 @@ class TrainingSession:
             capacity_model=ps_capacity_model or PSCapacityModel())
         self.storage = storage
         self.steps_per_event = steps_per_event
-        self.fast_forward_enabled = (fast_forward if fast_forward is not None
-                                     else _fast_forward_default())
+        self.fast_forward_enabled = config.CORE_FASTFORWARD.resolve(
+            fast_forward, "fast_forward")
         #: Chunks completed through the fast-forward path (stats/benchmarks).
         self.fast_forward_chunks = 0
         #: Fast-forward spans executed (stats/benchmarks).

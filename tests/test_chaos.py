@@ -18,7 +18,7 @@ import sys
 
 import pytest
 
-from repro import chaos
+from repro import chaos, config
 from repro.chaos import ChaosMonitor, Fault, FaultPlan
 from repro.errors import ConfigurationError, DataError
 from repro.scenarios import get_scenario, run_fleet
@@ -80,32 +80,32 @@ def test_monitor_fires_each_fault_exactly_once():
 
 
 def test_active_plan_reads_and_caches_the_env(monkeypatch):
-    monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
     assert chaos.active_plan() is None
-    monkeypatch.setenv(chaos.CHAOS_ENV, "shard_crash:shard=0;seed=3")
+    monkeypatch.setenv("REPRO_CHAOS", "shard_crash:shard=0;seed=3")
     plan = chaos.active_plan()
     assert plan.seed == 3
     assert chaos.active_plan() is plan, "parsed plans are cached by spec"
 
 
 def test_worker_incarnation_env(monkeypatch):
-    monkeypatch.delenv(chaos.CHAOS_INCARNATION_ENV, raising=False)
+    monkeypatch.delenv("REPRO_CHAOS_INCARNATION", raising=False)
     assert chaos.worker_incarnation() == 0
-    monkeypatch.setenv(chaos.CHAOS_INCARNATION_ENV, "2")
+    monkeypatch.setenv("REPRO_CHAOS_INCARNATION", "2")
     assert chaos.worker_incarnation() == 2
-    monkeypatch.setenv(chaos.CHAOS_INCARNATION_ENV, "garbage")
+    monkeypatch.setenv("REPRO_CHAOS_INCARNATION", "garbage")
     assert chaos.worker_incarnation() == 0
 
 
 def test_log_event_appends_json_lines(tmp_path, monkeypatch):
     log = tmp_path / "chaos.jsonl"
-    monkeypatch.setenv(chaos.CHAOS_LOG_ENV, str(log))
+    monkeypatch.setenv("REPRO_CHAOS_LOG", str(log))
     chaos.log_event("unit_test", detail=7)
     chaos.log_event("unit_test_two")
     records = [json.loads(line) for line in log.read_text().splitlines()]
     assert [r["event"] for r in records] == ["unit_test", "unit_test_two"]
     assert records[0]["detail"] == 7 and records[0]["pid"] == os.getpid()
-    monkeypatch.delenv(chaos.CHAOS_LOG_ENV)
+    monkeypatch.delenv("REPRO_CHAOS_LOG")
     chaos.log_event("not_written")  # silently skipped without the env
 
 
@@ -118,9 +118,9 @@ def test_two_injected_shard_crashes_reproduce_the_golden_payload(
     supervisor restart-replays each one and the merged payload is
     byte-identical to the crash-free single-process golden fixture."""
     log = tmp_path / "chaos.jsonl"
-    monkeypatch.setenv(chaos.CHAOS_ENV,
+    monkeypatch.setenv("REPRO_CHAOS",
                        "shard_crash:shard=0,at=2;shard_crash:shard=1,at=1")
-    monkeypatch.setenv(chaos.CHAOS_LOG_ENV, str(log))
+    monkeypatch.setenv("REPRO_CHAOS_LOG", str(log))
     scenario = get_scenario("multi_region_hetero")
     run = ShardedFleetRun(scenario, RandomStreams(seed=5), catalog=catalog,
                           shards=2)
@@ -139,7 +139,7 @@ def test_late_crash_replays_the_grant_log_mid_stream(catalog, monkeypatch):
     """A shard killed at its *third* draw request has two grants in its
     log: the respawn replays both before drawing live, and the storm
     payload matches the single-process run exactly."""
-    monkeypatch.setenv(chaos.CHAOS_ENV, "shard_crash:shard=0,at=3")
+    monkeypatch.setenv("REPRO_CHAOS", "shard_crash:shard=0,at=3")
     scenario = four_region_storm()
     single = run_fleet(scenario, RandomStreams(seed=3), catalog=catalog)
     run = ShardedFleetRun(scenario, RandomStreams(seed=3), catalog=catalog,
@@ -156,7 +156,7 @@ def test_dropped_grant_wedges_then_heartbeat_restart_recovers(
     sends the reply; the shard wedges silently, the heartbeat supervisor
     terminates and restarts it, and the replay re-delivers the very grant
     that was dropped — payload identical to the clean run."""
-    monkeypatch.setenv(chaos.CHAOS_ENV, "drop_grant:shard=0,at=1")
+    monkeypatch.setenv("REPRO_CHAOS", "drop_grant:shard=0,at=1")
     scenario = four_region_storm()
     single = run_fleet(scenario, RandomStreams(seed=3), catalog=catalog)
     run = ShardedFleetRun(scenario, RandomStreams(seed=3), catalog=catalog,
@@ -171,7 +171,7 @@ def test_dropped_grant_wedges_then_heartbeat_restart_recovers(
 def test_chaos_cli_flag_is_scoped_and_validates(tmp_path, monkeypatch):
     from repro.scenarios.cli import main
 
-    monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
     clean_out = tmp_path / "clean.json"
     chaos_out = tmp_path / "chaos.json"
     assert main(["run", "multi_region_hetero", "--replicates", "1",
@@ -181,7 +181,7 @@ def test_chaos_cli_flag_is_scoped_and_validates(tmp_path, monkeypatch):
                  "--seed", "5", "--shards", "2",
                  "--chaos", "shard_crash:shard=1,at=1",
                  "--json", str(chaos_out)]) == 0
-    assert chaos.CHAOS_ENV not in os.environ, "--chaos must not leak"
+    assert "REPRO_CHAOS" not in os.environ, "--chaos must not leak"
     assert json.loads(chaos_out.read_text())["fleets"] == \
         json.loads(clean_out.read_text())["fleets"]
     assert main(["run", "multi_region_hetero", "--chaos", "bogus"]) == 1
@@ -198,18 +198,18 @@ def _chaos_probe_cell(cell, streams, context):
 
 def test_killed_sweep_workers_retry_to_identical_payloads(monkeypatch):
     spec = SweepSpec("chaos_probe", axes={"x": [1, 2, 3, 4]})
-    monkeypatch.delenv(chaos.CHAOS_ENV, raising=False)
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
     clean = SweepRunner(workers=2, seed=5).run(spec, _chaos_probe_cell)
-    monkeypatch.setenv(chaos.CHAOS_ENV, "sweep_kill:cell=1;sweep_kill:cell=3")
+    monkeypatch.setenv("REPRO_CHAOS", "sweep_kill:cell=1;sweep_kill:cell=3")
     retried = SweepRunner(workers=2, seed=5).run(spec, _chaos_probe_cell)
     assert [r.payload for r in retried.results] == \
         [r.payload for r in clean.results]
-    assert chaos.CHAOS_INCARNATION_ENV not in os.environ
+    assert "REPRO_CHAOS_INCARNATION" not in os.environ
 
 
 def test_sweep_retry_budget_exhaustion_names_a_cell(monkeypatch):
     spec = SweepSpec("chaos_probe", axes={"x": [1, 2]})
-    monkeypatch.setenv(chaos.CHAOS_ENV, ";".join(
+    monkeypatch.setenv("REPRO_CHAOS", ";".join(
         f"sweep_kill:cell=0,incarnation={i}" for i in range(4)))
     runner = SweepRunner(workers=2, seed=5, max_retries=1)
     with pytest.raises(SweepExecutionError, match="cell #0"):
@@ -217,17 +217,15 @@ def test_sweep_retry_budget_exhaustion_names_a_cell(monkeypatch):
 
 
 def test_sweep_retry_env_knob_and_validation(monkeypatch):
-    from repro.sweeps.runner import _max_retries_default
-
     monkeypatch.setenv("REPRO_SWEEP_RETRIES", "5")
-    assert _max_retries_default() == 5
+    assert config.SWEEP_RETRIES.get() == 5
     assert SweepRunner(workers=2).max_retries == 5
     monkeypatch.setenv("REPRO_SWEEP_RETRIES", "-2")
-    with pytest.raises(ConfigurationError):
-        _max_retries_default()
+    with pytest.raises(ConfigurationError, match="REPRO_SWEEP_RETRIES"):
+        SweepRunner(workers=2)
     monkeypatch.setenv("REPRO_SWEEP_RETRIES", "many")
     with pytest.raises(ConfigurationError):
-        _max_retries_default()
+        config.SWEEP_RETRIES.get()
     monkeypatch.delenv("REPRO_SWEEP_RETRIES")
     with pytest.raises(ConfigurationError):
         SweepRunner(workers=2, max_retries=-1)
@@ -256,13 +254,13 @@ def test_truncated_export_never_touches_the_artifact_path(
     # Seed a previous good artifact, then fail the re-export mid-pack.
     write_npz(str(spool_dir), str(out_path), {"scenario": "unit"})
     good_bytes = out_path.read_bytes()
-    monkeypatch.setenv(chaos.CHAOS_ENV, "npz_truncate:at=2")
+    monkeypatch.setenv("REPRO_CHAOS", "npz_truncate:at=2")
     with pytest.raises(DataError, match="truncated"):
         write_npz(str(spool_dir), str(out_path), {"scenario": "unit"})
     assert out_path.read_bytes() == good_bytes, \
         "a failed export must leave the previous artifact intact"
     assert not list(tmp_path.glob("*.tmp")), "tmp siblings are cleaned up"
-    monkeypatch.delenv(chaos.CHAOS_ENV)
+    monkeypatch.delenv("REPRO_CHAOS")
     write_npz(str(spool_dir), str(out_path), {"scenario": "unit"})
     assert out_path.read_bytes() == good_bytes, "exports are deterministic"
 

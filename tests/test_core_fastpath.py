@@ -19,7 +19,7 @@ from repro.simulation.rng import RandomStreams
 from repro.training.cluster import ClusterSpec, WorkerSpec
 from repro.training.faults import FaultInjector
 from repro.training.job import TrainingJob
-from repro.training.session import FASTFORWARD_ENV, TrainingSession
+from repro.training.session import TrainingSession
 
 
 def _run_session(profile, fast_forward, cluster=None, steps=2000, interval=500,
@@ -141,10 +141,10 @@ def test_max_events_truncation_bit_identical(resnet15_profile):
 
 
 def test_fast_forward_env_switch(resnet32_profile, monkeypatch):
-    monkeypatch.setenv(FASTFORWARD_ENV, "0")
+    monkeypatch.setenv("REPRO_CORE_FASTFORWARD", "0")
     session, _, _ = _run_session(resnet32_profile, fast_forward=None, steps=400)
     assert not session.fast_forward_enabled
-    monkeypatch.setenv(FASTFORWARD_ENV, "1")
+    monkeypatch.setenv("REPRO_CORE_FASTFORWARD", "1")
     session, _, _ = _run_session(resnet32_profile, fast_forward=None, steps=400)
     assert session.fast_forward_enabled
     assert session.fast_forward_chunks > 0
@@ -208,9 +208,9 @@ def test_campaign_serial_parallel_and_chunked_identical(catalog, monkeypatch):
     campaigns all produce identical payloads."""
     kwargs = dict(model_names=("resnet_15",), gpu_names=("k80",), steps=600,
                   seed=11, catalog=catalog)
-    monkeypatch.setenv(FASTFORWARD_ENV, "0")
+    monkeypatch.setenv("REPRO_CORE_FASTFORWARD", "0")
     chunked = run_speed_campaign(**kwargs)
-    monkeypatch.setenv(FASTFORWARD_ENV, "1")
+    monkeypatch.setenv("REPRO_CORE_FASTFORWARD", "1")
     serial = run_speed_campaign(**kwargs)
     parallel = run_speed_campaign(workers=2, **kwargs)
     assert chunked.cells == serial.cells == parallel.cells

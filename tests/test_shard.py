@@ -31,6 +31,7 @@ import pathlib
 import pytest
 
 from oracles import use_reference
+from repro import config
 from repro.errors import ConfigurationError, SimulationError
 from repro.scenarios import (
     get_scenario,
@@ -317,19 +318,20 @@ def test_exhausted_restart_budget_raises_and_reaps(catalog, monkeypatch):
 
 
 def test_restart_budget_env_knob_and_validation(monkeypatch):
-    from repro.scenarios.shard import _heartbeat_default, _max_restarts_default
-
     monkeypatch.setenv("REPRO_SHARD_RESTARTS", "7")
-    assert _max_restarts_default() == 7
+    assert config.SHARD_RESTARTS.get() == 7
     monkeypatch.setenv("REPRO_SHARD_RESTARTS", "-1")
     with pytest.raises(ConfigurationError):
-        _max_restarts_default()
+        config.SHARD_RESTARTS.get()
     monkeypatch.setenv("REPRO_SHARD_RESTARTS", "lots")
     with pytest.raises(ConfigurationError):
-        _max_restarts_default()
-    monkeypatch.setenv("REPRO_SHARD_HEARTBEAT_SECONDS", "0")
-    with pytest.raises(ConfigurationError):
-        _heartbeat_default()
+        config.SHARD_RESTARTS.get()
+    monkeypatch.delenv("REPRO_SHARD_RESTARTS")
+    for heartbeat in ("0", "nan"):
+        monkeypatch.setenv("REPRO_SHARD_HEARTBEAT_SECONDS", heartbeat)
+        with pytest.raises(ConfigurationError):
+            config.SHARD_HEARTBEAT_SECONDS.get()
+    monkeypatch.delenv("REPRO_SHARD_HEARTBEAT_SECONDS")
     scenario = four_region_storm(jobs=4, total_steps=1000)
     with pytest.raises(ConfigurationError):
         ShardedFleetRun(scenario, RandomStreams(seed=3), shards=2,
@@ -352,9 +354,8 @@ def test_fleet_cell_routes_through_the_env_knob(catalog, monkeypatch):
 
 def test_bad_env_shard_count_is_a_configuration_error(monkeypatch):
     monkeypatch.setenv("REPRO_FLEET_SHARDS", "zero")
-    from repro.scenarios.fleet import _shards_default
-    with pytest.raises(ConfigurationError):
-        _shards_default()
+    with pytest.raises(ConfigurationError, match="REPRO_FLEET_SHARDS"):
+        config.FLEET_SHARDS.get()
 
 
 def test_cli_shards_flag_is_scoped_and_payload_identical(tmp_path, monkeypatch):
