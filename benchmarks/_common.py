@@ -73,7 +73,8 @@ def _dig(document: dict, path: Sequence[str]):
 def ratio_gate(baseline_path: str, measured: dict, *,
                ratio_path: Sequence[str], label: str, tolerance: float,
                informative_path: Optional[Sequence[str]] = None,
-               informative_label: str = "", precision: int = 2) -> int:
+               informative_label: str = "", precision: int = 2,
+               unit: str = "x") -> int:
     """Gate a measured speedup ratio against the committed baseline.
 
     Ratios (fast-vs-slow paths measured on one host in one process) are
@@ -92,9 +93,9 @@ def ratio_gate(baseline_path: str, measured: dict, *,
     current = _dig(measured, ratio_path)
     floor = reference * (1.0 - tolerance)
     verdict = "OK" if current >= floor else "REGRESSION"
-    print(f"{label}: measured {current:.{precision}f}x vs "
-          f"committed {reference:.{precision}f}x "
-          f"(floor {floor:.{precision}f}x) -> {verdict}")
+    print(f"{label}: measured {current:.{precision}f}{unit} vs "
+          f"committed {reference:.{precision}f}{unit} "
+          f"(floor {floor:.{precision}f}{unit}) -> {verdict}")
     if informative_path is not None:
         print(f"(informative absolute {informative_label}: measured "
               f"{_dig(measured, informative_path):,.0f}, committed "

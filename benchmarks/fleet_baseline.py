@@ -10,6 +10,11 @@ chunked single-session steps/sec of the core baseline's reference session
 (:func:`core_baseline.chunked_steps_per_sec`), measured in the same
 process, so the gated ratio tracks the fleet loop rather than the host.
 
+Next to the headline it records the sessions' replay spans and the mean
+chunks per span (``fast_forward_spans`` / ``fast_forward_chunks``): the
+count that shows whether replay windows fire inside the fleet, and that
+holds on any host.
+
 It also verifies the payload contracts: bit-identical fleet payloads
 across simulation core path (``REPRO_CORE_FASTFORWARD``), sweep worker
 count, trace level, and telemetry attachment.
@@ -20,8 +25,9 @@ Run with::
     python benchmarks/fleet_baseline.py --quick    # quick config only, no write
     python benchmarks/fleet_baseline.py --quick --check
         # measure the quick config and fail (exit 1) if the host-normalized
-        # fleet steps/sec ratio regressed more than 30% against the
-        # committed BENCH_fleet.json
+        # fleet steps/sec ratio regressed more than 30%, or the mean chunks
+        # per replay span fell below half, against the committed
+        # BENCH_fleet.json
     python benchmarks/fleet_baseline.py --quick --json-out out.json
         # also dump the measured numbers (CI uploads these as artifacts)
 """
@@ -55,6 +61,9 @@ QUICK_STEPS = 2_000
 
 #: Allowed fractional steps/sec-ratio regression before ``--check`` fails.
 REGRESSION_TOLERANCE = 0.30
+
+#: Allowed fractional drop of the mean chunks per replay span.
+SPAN_TOLERANCE = 0.50
 
 #: Timing repetitions (the best run is recorded, damping scheduler noise).
 REPETITIONS = 2
@@ -99,20 +108,24 @@ def _run_fleet(scenario: ScenarioSpec, fast_forward=None, trace_level=None,
     started = time.perf_counter()
     payload = run.run()
     wall = time.perf_counter() - started
-    return payload, wall, run.events_processed
+    return payload, wall, run
 
 
 def _measure_fleet(scenario: ScenarioSpec):
-    best_wall, payload, events = float("inf"), None, 0
+    best_wall, payload, run = float("inf"), None, None
     for _ in range(REPETITIONS):
-        payload, wall, events = _run_fleet(scenario)
+        payload, wall, run = _run_fleet(scenario)
         best_wall = min(best_wall, wall)
     steps = sum(job["steps_done"] for job in payload["jobs"])
+    spans = sum(job.session.fast_forward_spans for job in run.jobs)
+    chunks = sum(job.session.fast_forward_chunks for job in run.jobs)
     return {
         "wall_seconds": round(best_wall, 3),
-        "events_processed": events,
-        "events_per_sec": round(events / best_wall, 1),
+        "events_processed": run.events_processed,
+        "events_per_sec": round(run.events_processed / best_wall, 1),
         "steps_per_sec": round(steps / best_wall, 1),
+        "replay_spans": spans,
+        "span_chunks_mean": round(chunks / spans, 2) if spans else 0.0,
     }, payload
 
 
@@ -229,6 +242,11 @@ def main(argv=None) -> int:
             tolerance=REGRESSION_TOLERANCE, precision=3,
             informative_path=("throughput", "steps_per_sec"),
             informative_label="fleet steps/sec")
+        status |= ratio_gate(
+            args.check, quick,
+            ratio_path=("throughput", "span_chunks_mean"),
+            label="mean chunks per replay span", tolerance=SPAN_TOLERANCE,
+            unit=" chunks")
     elif not args.quick:
         full = _measure(REFERENCE["total_steps"], identity_steps=QUICK_STEPS)
         measured["full"] = full

@@ -182,7 +182,7 @@ class CMDareController:
         if self._monitoring or self.session.finished:
             return
         self._monitoring = True
-        self._poll_event = self.session.simulator.schedule(
+        self._poll_event = self.session.schedule_control(
             self.config.poll_interval_seconds, self._poll, label="cmdare:poll")
 
     def stop_monitoring(self) -> None:
@@ -220,7 +220,7 @@ class CMDareController:
                 if report.bottleneck_detected:
                     self._log("bottleneck", report.suggestion)
                     self._maybe_mitigate()
-        self._poll_event = self.session.simulator.schedule(
+        self._poll_event = self.session.schedule_control(
             self.config.poll_interval_seconds, self._poll, label="cmdare:poll")
 
     def _maybe_mitigate(self) -> None:

@@ -47,6 +47,7 @@ they did under the sampler.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -72,6 +73,15 @@ DEFAULT_CANDIDATES = 8
 #: revoked samples) ``DEFAULT_CANDIDATES`` candidate draws plus one
 #: hour-of-day resampling choice.
 _DRAWS_PER_SAMPLE = DEFAULT_CANDIDATES + 2
+
+
+def _finite_hour(hour: Any, field_name: str) -> float:
+    """``hour`` as a float; NaN and infinities would wrap to hour 0."""
+    value = float(hour)
+    if not math.isfinite(value):
+        raise ConfigurationError(
+            f"{field_name} must be finite, got {hour!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -112,8 +122,10 @@ class PlacementQuery:
     queue_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.duration_hours <= 0:
-            raise ConfigurationError("duration_hours must be positive")
+        if not 0 < self.duration_hours < math.inf:
+            raise ConfigurationError(
+                f"duration_hours must be positive and finite, got "
+                f"{self.duration_hours!r}")
         if self.num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
         if self.queue_weight < 0:
@@ -129,14 +141,15 @@ class PlacementQuery:
                     "region_names must name at least one candidate region")
             object.__setattr__(self, "region_names", names)
         if self.launch_hours is not None:
-            hours = tuple(hour_bin(hour) for hour in self.launch_hours)
+            hours = tuple(hour_bin(_finite_hour(hour, "launch_hours"))
+                          for hour in self.launch_hours)
             if not hours:
                 raise ConfigurationError(
                     "launch_hours must name at least one candidate hour")
             object.__setattr__(self, "launch_hours", hours)
         else:
-            object.__setattr__(self, "hour_of_day_utc",
-                               wrap_hour(float(self.hour_of_day_utc)))
+            object.__setattr__(self, "hour_of_day_utc", wrap_hour(
+                _finite_hour(self.hour_of_day_utc, "hour_of_day_utc")))
         object.__setattr__(self, "duration_hours", float(self.duration_hours))
         object.__setattr__(self, "queue_weight", float(self.queue_weight))
 

@@ -67,6 +67,11 @@ class CheckpointTimeModel:
             raise ConfigurationError("seconds_per_mb must be positive")
         self.cov = cov
 
+    @property
+    def generator(self) -> np.random.Generator:
+        """The generator checkpoint-duration draws consume."""
+        return self._rng
+
     # ------------------------------------------------------------------
     # Queries.
     # ------------------------------------------------------------------

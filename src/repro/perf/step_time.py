@@ -117,6 +117,11 @@ class StepTimeModel:
         self._cov_cache: Dict[str, float] = {}
         self._efficiency_cache: Dict[Tuple[float, str], float] = {}
 
+    @property
+    def generator(self) -> np.random.Generator:
+        """The generator every step-duration draw consumes."""
+        return self._rng
+
     # ------------------------------------------------------------------
     # Deterministic quantities.
     # ------------------------------------------------------------------

@@ -13,17 +13,32 @@ Table V / Fig. 8 / Fig. 9 characterization at pool level.
 
 Fleet execution performance
 ---------------------------
-The fleet loop (:meth:`FleetRun.run`) is a *wake-set* scheduler: a
-session can only replay spans while the heap top is one of its **own**
-chunk events.  Chunk events carry an ownership tag (``Event.owner``, see
-:mod:`repro.simulation.events`), so the wake set — the sessions whose
-fast-forward could make progress right now — is exactly ``{owner of the
-heap top}``; disturbed jobs (the event owner, pool-grant recipients, newly
-started jobs) re-enter it automatically the moment their next chunk
-surfaces at the top.  Together with live finished/stalled counters
-(updated by session/stall callbacks) instead of an O(N) ``all(...)`` scan,
-per-event driver work is O(1).  Payloads are pinned by the golden
-fixtures under ``tests/data/``.
+The fleet loop (:meth:`FleetRun.run`) is a *wake-set* scheduler: chunk
+events carry an ownership tag (``Event.owner``, see
+:mod:`repro.simulation.events`), so when the heap top is a chunk, its
+owner is the one session that can make progress, found in O(1); live
+finished/stalled counters (updated by session/stall callbacks) replace an
+O(N) ``all(...)`` scan.  The woken session then replays a *window*: every
+chunk it has due before its own next control event — its controller's
+poll, its workers' revocations, its replacement joins, all registered by
+:meth:`~repro.training.session.TrainingSession.schedule_control` — however
+many other jobs' events fall in between.  Those events cannot read or
+write the job, so replaying past them is safe (per-process lookahead, as
+in conservative parallel discrete-event simulation).  On the 100-job
+``revocation_storm`` reference a replay used to cover about one chunk,
+because another job's chunk nearly always sat at the heap top; windows
+cover about 150 (``benchmarks/BENCH_fleet.json`` records the count).
+
+Two cases keep the global order.  A job with a queued pool request
+(``replacements_pending > 0``) can be granted a slot by any pool event —
+another job's finish, a reclaim return, a warm cooldown — so it replays
+only up to the heap top, as before.  And a window completes a job's
+finishing chunk only when that chunk is the heap top, because finishing
+releases pool slots that other jobs' queued requests (and their
+revocation draws from the shared stream) consume.  Every event that
+touches shared state therefore still fires in global ``(time, sequence)``
+order, and payloads stay identical to the chunked path and to the
+round-robin oracle; the golden fixtures under ``tests/data/`` pin this.
 
 Pool-aware placement and warm replacements
 ------------------------------------------
@@ -521,8 +536,15 @@ class FleetRun:
 
     def _schedule_revocation_outcome(self, session: TrainingSession,
                                      worker: WorkerState,
-                                     outcome: RevocationOutcome) -> None:
-        """Turn a sampled fate into a scheduled revocation event (if any)."""
+                                     outcome: RevocationOutcome,
+                                     rank: Optional[int] = None) -> None:
+        """Turn a sampled fate into a scheduled revocation event (if any).
+
+        The revoke event is one of the job's control events, so it bounds
+        the job's replay windows.  ``rank`` is the draw's global rank
+        (sharded runs), handed to :meth:`_record_revocation` when the
+        revocation fires.
+        """
         if not outcome.revoked:
             # The server survives to the 24-hour reclamation; fleet jobs
             # complete well before, so no termination event is scheduled.
@@ -532,14 +554,19 @@ class FleetRun:
         def revoke(_sim: Simulator) -> None:
             if session.finished or not worker.active:
                 return
-            self.revocation_hours_local.append(
-                float(outcome.revocation_hour_local))
+            self._record_revocation(float(outcome.revocation_hour_local),
+                                    rank)
             self.pool.revoke(gpu, region_name)
             session.handle_revocation(worker.worker_id)
             self._check_stalled(session)
 
-        self.simulator.schedule(outcome.lifetime_seconds, revoke,
-                                label=f"fleet:revoke:{worker.worker_id}")
+        session.schedule_control(outcome.lifetime_seconds, revoke,
+                                 label=f"fleet:revoke:{worker.worker_id}")
+
+    def _record_revocation(self, hour_local: float,
+                           rank: Optional[int]) -> None:
+        """Record one fired revocation's region-local hour."""
+        self.revocation_hours_local.append(hour_local)
 
     def _check_stalled(self, session: TrainingSession) -> None:
         """Detect a job that lost every worker with no replacement coming.
@@ -583,18 +610,20 @@ class FleetRun:
     def _advance(self, max_events: int) -> int:
         """O(1)-per-event loop driven by heap-top event ownership.
 
-        Only the session owning the next-due chunk event can replay a
-        fast-forward span (any other session's offer would find a foreign
-        event first and decline); everything else — job starts, pool
-        grants, revocations, controller polls — reaches the disturbed
-        session through ordinary heap events, after which its next chunk
-        surfaces at the top and wakes it again.  Returns the number of
+        The session owning the next-due chunk event replays a window up to
+        its own next control event (see the module docstring); everything
+        else — job starts, pool grants, revocations, controller polls —
+        reaches the disturbed session through ordinary heap events, after
+        which its next chunk surfaces at the top and wakes it again.  A job
+        with a queued pool request can be granted a slot by any pool event,
+        so its replay keeps the heap-top bound.  Returns the number of
         events processed.
         """
         sim = self.simulator
         peek_next = sim.peek_next
         step = sim.step
         jobs_total = len(self.jobs)
+        job_of = self._job_of
         hook = self._progress_hook
         next_report = self._progress_interval
         processed = 0
@@ -609,7 +638,11 @@ class FleetRun:
                 break
             owner = top.owner
             if owner is not None:
-                replayed = owner._fast_forward(max_events - processed, top=top)
+                horizon = (None
+                           if job_of[owner].controller.replacements_pending
+                           else owner.control_horizon())
+                replayed = owner._fast_forward(max_events - processed,
+                                               top=top, horizon=horizon)
                 if replayed:
                     processed += replayed
                     continue

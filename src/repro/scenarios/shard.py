@@ -52,6 +52,9 @@ owns the one true model and replays the exact single-process call sequence:
   the conductor: between two reports a shard can only fire events, and
   hence request draws, at or after its last reported bound, so the barrier
   makes the conservative grant order safe regardless of OS scheduling.
+  Replay windows run a job's chunks past the heap top, but a chunk draws
+  nothing from the shared stream unless it finishes the job, and windows
+  complete a finishing chunk only at the heap top — so the bound holds.
 * the parent executes the real model calls (same arguments, same batching
   as the single-process fleet, hence the same stream consumption) and
   replies with the outcomes plus each draw's global sequence number.
@@ -408,8 +411,8 @@ class ShardFleetRun(FleetRun):
         outcomes, base_rank = self._request_draws(self._rank_of[session], calls)
         for offset, (worker, outcome) in enumerate(zip(workers, outcomes)):
             self._note_revocation_draw(session, worker, outcome)
-            self._schedule_shard_outcome(session, worker, outcome,
-                                         base_rank + offset)
+            self._schedule_revocation_outcome(session, worker, outcome,
+                                              base_rank + offset)
 
     def _schedule_revocation(self, session: TrainingSession,
                              worker: WorkerState) -> None:
@@ -420,28 +423,14 @@ class ShardFleetRun(FleetRun):
             [("single", worker.spec.gpu_name, worker.spec.region_name, 1,
               launch_hour)])
         self._note_revocation_draw(session, worker, outcomes[0])
-        self._schedule_shard_outcome(session, worker, outcomes[0], base_rank)
+        self._schedule_revocation_outcome(session, worker, outcomes[0],
+                                          base_rank)
 
-    def _schedule_shard_outcome(self, session: TrainingSession,
-                                worker: WorkerState, outcome: Any,
-                                rank: int) -> None:
-        """The base ``_schedule_revocation_outcome`` plus draw-rank records."""
-        if not outcome.revoked:
-            return
-        gpu, region_name = worker.spec.gpu_name, worker.spec.region_name
-
-        def revoke(sim) -> None:
-            if session.finished or not worker.active:
-                return
-            hour = float(outcome.revocation_hour_local)
-            self.revocation_records.append((sim.now, rank, hour))
-            self.revocation_hours_local.append(hour)
-            self.pool.revoke(gpu, region_name)
-            session.handle_revocation(worker.worker_id)
-            self._check_stalled(session)
-
-        self.simulator.schedule(outcome.lifetime_seconds, revoke,
-                                label=f"fleet:revoke:{worker.worker_id}")
+    def _record_revocation(self, hour_local: float,
+                           rank: Optional[int]) -> None:
+        """Also keep the draw rank the parent merges revocations by."""
+        self.revocation_records.append((self.simulator.now, rank, hour_local))
+        super()._record_revocation(hour_local, rank)
 
 
 def _shard_worker(conn, scenario: ScenarioSpec, group: ShardGroup,

@@ -172,13 +172,13 @@ def _print_decision(document: Dict[str, Any], args: argparse.Namespace, *,
 
 
 async def _serve_forever(args: argparse.Namespace) -> int:
+    config = ServerConfig(request_timeout=args.request_timeout,
+                          max_connections=args.max_connections)
     service = PlacementService(advisor=LaunchAdvisor(
         samples_per_option=args.samples, seed=args.seed))
     if not args.no_warm:
         built = service.warm()
         print(f"score table warmed: {built} (gpu, region, hour) options")
-    config = ServerConfig(request_timeout=args.request_timeout,
-                          max_connections=args.max_connections)
     server = await start_server(service, host=args.host, port=args.port,
                                 config=config)
     host, port = serve_address(server)

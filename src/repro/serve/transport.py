@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -87,9 +88,10 @@ class ServerConfig:
     max_connections: int = 64
 
     def __post_init__(self) -> None:
-        if self.request_timeout <= 0:
+        if not 0 < self.request_timeout < math.inf:
             raise ConfigurationError(
-                f"request_timeout must be positive, got {self.request_timeout}")
+                f"request_timeout must be positive and finite, got "
+                f"{self.request_timeout}")
         if self.max_connections < 1:
             raise ConfigurationError(
                 f"max_connections must be >= 1, got {self.max_connections}")

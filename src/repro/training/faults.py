@@ -84,8 +84,8 @@ class FaultInjector:
         if self._armed:
             return
         self._armed = True
-        self.session.simulator.schedule(self.poll_interval_seconds, self._poll,
-                                        label="fault-injector:poll")
+        self.session.schedule_control(self.poll_interval_seconds, self._poll,
+                                      label="fault-injector:poll")
 
     def _pending(self) -> bool:
         return (any(not plan.done for plan in self._revocations)
@@ -107,5 +107,5 @@ class FaultInjector:
                                         cold_start=plan.cold_start,
                                         reuse_chief_ip=plan.reuse_chief_ip)
                 plan.done = True
-        self.session.simulator.schedule(self.poll_interval_seconds, self._poll,
-                                        label="fault-injector:poll")
+        self.session.schedule_control(self.poll_interval_seconds, self._poll,
+                                      label="fault-injector:poll")

@@ -19,18 +19,21 @@ this down):
 * the *fast-forward* path (:meth:`TrainingSession._fast_forward`, on by
   default) — whenever the next events due are this session's own chunk
   completions, the session pulls them out of the simulator heap and
-  replays the exact same completion/schedule logic in a tight loop, up to
-  its *disturbance horizon*: the first foreign event (a scheduled
-  revocation, a replacement joining, a fault-injector poll, a controller
-  wake-up, ...), or the end of the workload.  Checkpoints do not break the
-  span — they draw from their own named RNG stream, so they are replayed
-  in-line.  Step durations are drawn with vectorized
-  :meth:`~repro.perf.step_time.StepTimeModel.sample_steps` calls (one
-  ``Generator.normal`` per chunk instead of one per step), and when every
-  active worker is past warm-up with the same step-time distribution and
-  no foreign event is pending at all, the whole remaining workload's
-  durations come from a *single* block draw.  Chunk rows are bulk-appended
-  to the trace's columnar buffers.
+  replays the exact same completion/schedule logic in a tight loop.  A
+  span ends at a bound chosen by the caller: on its own
+  (:meth:`run_to_completion`) the session replays up to the heap top — the
+  first foreign event (a scheduled revocation, a replacement joining, a
+  fault-injector poll, a controller wake-up, ...) — or the end of the
+  workload; a multi-session loop can instead pass a replay *horizon*,
+  the session's next control event, and get a replay window (see below).
+  Checkpoints do not break a span — they draw from their own named RNG
+  stream, so they are replayed in-line.  Step durations are drawn with
+  vectorized :meth:`~repro.perf.step_time.StepTimeModel.sample_steps`
+  calls (one ``Generator.normal`` per chunk instead of one per step), and
+  when every active worker is past warm-up with the same step-time
+  distribution and no foreign event is pending at all, the whole
+  remaining workload's durations come from a *single* block draw.  Chunk
+  rows are bulk-appended to the trace's columnar buffers.
 
 Bit-identity holds because (a) the vector draws consume the shared
 ``step_time`` stream exactly like the scalar draws they replace, (b) every
@@ -46,19 +49,58 @@ Fleet-scale hooks
 Chunk-completion events are tagged with their owning session
 (``Event.owner``), so a driver multiplexing many sessions on one simulator
 (:mod:`repro.scenarios`) can map the heap top to the single session whose
-fast-forward can progress in O(1).  A session additionally caches its
-*disturbance horizon*: when :meth:`fast_forward` finds a foreign event at
-the top of the heap it remembers that blocking event and, until the
-blocker leaves the heap or the session schedules new chunks of its own
-(tracked through the simulator's per-owner insertion epochs), later offers
-return immediately without touching the heap at all.  Block-mode spans
-draw their step durations in bounded segments and flush staged rows to the
-columnar trace incrementally, and the trace buffers are shrunk to fit when
-the workload finishes, so the fast path's peak memory stays close to the
-chunked path's.  ``trace_level="summary"`` swaps the columnar trace for an
-aggregates-only :class:`~repro.training.trace.StepRecordSummary` sink —
-fleet runs that only consume end-of-run payloads keep O(1) trace memory
-per job, with byte-identical payloads.
+fast-forward can progress in O(1).  On a shared heap the heap-top bound
+ends almost every span after one chunk, because the next event is nearly
+always another session's chunk.  Other sessions' chunks cannot read or
+write this session, though; only its *control events* can — controller
+polls, worker revocations, replacement joins and fault-injector polls,
+all scheduled through :meth:`schedule_control`, the one place that
+registers them.  A fleet loop therefore passes :meth:`control_horizon`
+— the ``(time, sequence)`` key of the next one — and :meth:`_window_span`
+replays every chunk due before it on a local heap, in exact
+``(time, sequence)`` order, regardless of what other sessions have due in
+between (the per-process lookahead of conservative parallel simulation).
+Two cases fall back:
+
+* the chunk that finishes the workload is replayed only when it is the
+  heap top: finishing releases pool slots, cancels queued requests and can
+  hand a slot to another job, so it must happen in global order;
+* the loop passes no horizon for a session whose pending pool request
+  can be granted by *any* pool event (the fleet does this for jobs with
+  queued replacements), which keeps the heap-top bound.
+
+Payloads stay identical because nothing that reads or writes the session
+fires inside a window: the session's state at each control event is
+exactly the chunked path's.  Successors claim sequence numbers as they
+are scheduled, so a chunk tied in time with a control event orders by
+sequence just as it would on the heap; survivors return to the heap with
+the numbers they claimed.  What changes is only the order between this
+session's chunks and events that cannot touch them.  (One theoretical
+exception: a finishing chunk claims its number inside a window, so a
+bit-exact time tie with another job's event could order differently than
+on the chunked path.  Chunk times are sums of continuous draws; no
+fixture or benchmark run has such a tie.)  Inside a window, when every
+replaying worker is past warm-up on one step-time distribution and the
+checkpoint model draws from another generator, successor durations come
+from vectorized segments drawn ahead.  A window that ends before using up
+its last segment restores the generator's saved ``bit_generator.state``
+and redraws exactly the values it used, so the stream advances exactly
+as per-chunk draws would (normal fills consume the bit stream
+sequentially — the same property the block draws rely on).
+
+The heap-top path also caches its *disturbance horizon* for callers that
+re-offer blindly: when :meth:`fast_forward` finds a foreign event at the
+top of the heap it remembers that blocking event and, until the blocker
+leaves the heap or the session schedules new chunks of its own (tracked
+through the simulator's per-owner insertion epochs), later offers return
+immediately without touching the heap at all.  Block-mode spans draw
+their step durations in bounded segments and flush staged rows to the
+columnar trace incrementally, and the trace buffers are shrunk to fit
+when the workload finishes, so the fast path's peak memory stays close to
+the chunked path's.  ``trace_level="summary"`` swaps the columnar trace
+for an aggregates-only :class:`~repro.training.trace.StepRecordSummary`
+sink — fleet runs that only consume end-of-run payloads keep O(1) trace
+memory per job, with byte-identical payloads.
 
 ``REPRO_CORE_FASTFORWARD=0`` (or ``fast_forward=False``) forces the
 chunked path.  The core-throughput baseline lives in
@@ -117,6 +159,27 @@ FASTFORWARD_SEGMENT_CHUNKS = 1024
 #: completion without the heap, and a tuple keeps the per-chunk bookkeeping
 #: of the replay loops allocation-cheap.
 _InflightChunk = Tuple[Event, int, float]
+
+#: Replay horizon of a session with no pending control event.
+_UNBOUNDED = (math.inf, math.inf)
+
+
+def _chunk_sums(model: StepTimeModel, gflops: float, gpu: str, chunks: int,
+                steps_per: int, ps_arg: float, slowdown: float) -> List[float]:
+    """Durations of ``chunks`` post-warm-up chunks from one block draw.
+
+    Left-to-right accumulation per chunk (column by column) matches the
+    scalar ``duration += sample`` loop bit-for-bit; numpy's pairwise
+    ``sum`` would not.
+    """
+    samples = model.sample_steps(gflops, gpu, chunks * steps_per,
+                                 start_step_index=WARMUP_STEPS,
+                                 ps_utilization=ps_arg, slowdown=slowdown)
+    chunk_matrix = samples.reshape(chunks, steps_per)
+    acc = chunk_matrix[:, 0].copy()
+    for column in range(1, steps_per):
+        acc += chunk_matrix[:, column]
+    return acc.tolist()
 
 
 class TrainingSession:
@@ -215,6 +278,8 @@ class TrainingSession:
                                                  else make_step_sink(trace_level)))
         self.workers: Dict[str, WorkerState] = {}
         self._inflight: Dict[str, _InflightChunk] = {}
+        #: Pending control events (see :meth:`schedule_control`).
+        self._controls: List[Event] = []
         self._worker_counter = itertools.count()
         self._cluster_steps = 0
         self._last_checkpoint_step = 0
@@ -332,6 +397,39 @@ class TrainingSession:
     # ------------------------------------------------------------------
     # Scheduling.
     # ------------------------------------------------------------------
+    def schedule_control(self, delay: float,
+                         callback: Callable[[Simulator], None],
+                         label: str = "") -> Event:
+        """Schedule a *control event* of this session.
+
+        Control events are the non-chunk events that read or write the
+        session — controller polls, worker revocations, replacement joins,
+        fault-injector polls.  They fire through the simulator heap like
+        any event; registering them here is what lets a multi-session
+        loop replay this session's chunks up to its own next control
+        event (:meth:`control_horizon`) instead of the heap top.
+        """
+        event = self.simulator.schedule(delay, callback, label=label)
+        controls = [pending for pending in self._controls
+                    if pending._in_queue and not pending.cancelled]
+        controls.append(event)
+        self._controls = controls
+        return event
+
+    def control_horizon(self) -> Tuple[float, float]:
+        """``(time, sequence)`` of the next pending control event.
+
+        ``(inf, inf)`` when none is pending.  This is the replay horizon a
+        fleet passes to :meth:`fast_forward`.
+        """
+        horizon = _UNBOUNDED
+        for event in self._controls:
+            if event._in_queue and not event.cancelled:
+                key = (event.time, event.sequence)
+                if key < horizon:
+                    horizon = key
+        return horizon
+
     def start(self) -> None:
         """Schedule the first chunk of every worker."""
         if self._finished:
@@ -429,7 +527,8 @@ class TrainingSession:
     # Vectorized fast-forward path.
     # ------------------------------------------------------------------
     def _fast_forward(self, max_pops: Optional[int] = None,
-                      top: Optional[Event] = None) -> int:
+                      top: Optional[Event] = None,
+                      horizon: Optional[Tuple[float, float]] = None) -> int:
         """Replay chunk completions up to the disturbance horizon.
 
         Pops this session's due chunk events off the simulator heap and
@@ -445,6 +544,13 @@ class TrainingSession:
         number plain event-by-event execution would have assigned, so the
         two paths can hand execution back and forth at any span boundary
         without drifting.
+
+        ``horizon``, when given, is the ``(time, sequence)`` key of this
+        session's next control event (:meth:`control_horizon`) and replaces
+        the heap-top bound with a replay window (:meth:`_window_span`):
+        other sessions' events no longer end the span.  The caller vouches
+        that no event other than this session's registered control events
+        reads or writes the session before the horizon.
 
         Returns:
             The number of chunk completions replayed.
@@ -501,6 +607,8 @@ class TrainingSession:
             # whole remaining workload can drain through the bulk span
             # (local heap, block draws, bulk trace appends).
             return self._drain_span(budget)
+        if horizon is not None:
+            return self._window_span(budget, horizon)
 
         # Fused span: foreign events are pending, so the span is bounded by
         # the first one.  Each due chunk is popped off the heap (a true
@@ -740,18 +848,9 @@ class TrainingSession:
             if block_mode:
                 if block_index == len(block_sums):
                     segment = min(FASTFORWARD_SEGMENT_CHUNKS, block_remaining)
-                    samples = model.sample_steps(
-                        gflops, block_gpu, segment * steps_per,
-                        start_step_index=WARMUP_STEPS,
-                        ps_utilization=ps_arg, slowdown=slowdown)
-                    chunk_matrix = samples.reshape(segment, steps_per)
-                    # Left-to-right accumulation per chunk (column by
-                    # column) matches the scalar `duration += sample` loop
-                    # bit-for-bit; numpy's pairwise `sum` would not.
-                    acc = chunk_matrix[:, 0]
-                    for column in range(1, steps_per):
-                        acc = acc + chunk_matrix[:, column]
-                    block_sums = acc.tolist()
+                    block_sums = _chunk_sums(model, gflops, block_gpu,
+                                             segment, steps_per, ps_arg,
+                                             slowdown)
                     block_index = 0
                     block_remaining -= segment
                 duration = block_sums[block_index]
@@ -785,20 +884,205 @@ class TrainingSession:
             sim.advance_to(now)
             self._finish()
             return pops
-        # Re-materialize surviving in-flight chunks as real heap events,
-        # keeping their claimed sequence numbers.
         for time, sequence, worker_id in heap:
-            worker = self.workers[worker_id]
             steps, start_time = meta[worker_id]
+            self._requeue(time, sequence, self.workers[worker_id], steps,
+                          start_time)
+        return pops
 
-            def complete(_sim: Simulator, worker=worker, steps=steps,
-                         start_time=start_time) -> None:
-                self._complete_chunk(worker, steps, start_time)
+    def _requeue(self, time: float, sequence: int, worker: WorkerState,
+                 steps: int, start_time: float) -> None:
+        """Re-materialize one in-flight chunk as a real heap event, keeping
+        the sequence number it claimed during a replay."""
 
-            event = sim.schedule_at(time, complete,
-                                    label=f"{worker_id}:chunk",
-                                    sequence=sequence, owner=self)
-            self._inflight[worker_id] = (event, steps, start_time)
+        def complete(_sim: Simulator, worker=worker, steps=steps,
+                     start_time=start_time) -> None:
+            self._complete_chunk(worker, steps, start_time)
+
+        event = self.simulator.schedule_at(time, complete,
+                                           label=f"{worker.worker_id}:chunk",
+                                           sequence=sequence, owner=self)
+        self._inflight[worker.worker_id] = (event, steps, start_time)
+
+    def _window_span(self, budget, horizon: Tuple[float, float]) -> int:
+        """Replay this session's chunks due before its next control event.
+
+        A fleet's heap interleaves every job's chunks, so the heap-top
+        bound of the fused span ends almost every span after one chunk.
+        Other sessions' chunks cannot touch this one, though: only its
+        control events can (:meth:`schedule_control`).  The window
+        therefore lifts every in-flight chunk due before ``horizon`` off
+        the shared heap and replays them, and the successors they
+        schedule, in exact ``(time, sequence)`` order on a local heap —
+        the per-process lookahead of conservative parallel simulation.
+        Successors claim their sequence numbers as they are scheduled, so
+        a chunk tied with the control event on time still orders by
+        sequence exactly as on the heap; survivors go back to the shared
+        heap with the sequence numbers they claimed.
+
+        The chunk that finishes the workload is replayed only when it is
+        the heap top, since finishing releases pool slots to other jobs;
+        otherwise the window ends in front of it.
+
+        When every replaying worker is past warm-up on one step-time
+        distribution and the checkpoint model draws from another
+        generator, successor durations come from vectorized segments
+        drawn ahead, sized a little short of the draws due before the
+        horizon so they are normally used up (the last few chunks draw
+        one by one).  A window that stops inside a segment rewinds the
+        generator to its state before that segment and advances it by
+        exactly the draws used: normal fills consume the bit stream
+        sequentially, so the stream ends where per-chunk draws would have
+        left it.
+        """
+        sim = self.simulator
+        inflight = self._inflight
+        workers = self.workers
+        # Entries are (time, sequence, worker, steps, start time); unique
+        # sequence numbers keep comparisons off the worker objects.
+        heap = []
+        for worker_id, (event, steps, start_time) in inflight.items():
+            if (event.time, event.sequence) < horizon:
+                heap.append((event.time, event.sequence, workers[worker_id],
+                             steps, start_time))
+                event.cancel()
+        for entry in heap:
+            del inflight[entry[2].worker_id]
+        heapq.heapify(heap)
+
+        model = self.step_time_model
+        gflops = self.job.profile.gflops
+        slowdown, _utilization, ps_arg = self._span_speed_state()
+        steps_per = self.steps_per_event
+        total = self.job.total_steps
+        restart_until = self._restart_until
+        draw_params = self._draw_params
+        sample_chunk_raw = model.sample_chunk_raw
+        peek_next = sim.peek_next
+        claim_sequence = sim.claim_sequence
+        heappop, heappush = heapq.heappop, heapq.heappush
+
+        # Segmented draws need one distribution and a private generator;
+        # a window that starts in warm-up switches to them once every
+        # replaying worker's next draw is past it.
+        block_gpu = warming_gpu = None
+        if self.checkpoint_time_model.generator is not model.generator:
+            gpus = {entry[2].gpu_name for entry in heap}
+            if len({(model.mean_step_time(gflops, gpu), model.noise_cov(gpu))
+                    for gpu in gpus}) == 1:
+                warming_gpu = next(iter(gpus))
+                chunk_mean = (steps_per * max(1.0, slowdown)
+                              * model.mean_step_time(gflops, warming_gpu))
+        sums: List[float] = []
+        used = count = 0
+        segment_state = None
+
+        rows: List[Tuple[str, float, float, int, int, int]] = []
+        flush_at = FASTFORWARD_SEGMENT_CHUNKS
+
+        def flush_rows() -> None:
+            self.trace.step_records.extend_rows(*zip(*rows))
+            rows.clear()
+
+        pops = 0
+        finished = False
+        cluster_start = cluster = self._cluster_steps
+        time = sim.now
+        while heap and pops < budget:
+            if warming_gpu is not None and all(
+                    entry[2].steps_done + entry[3] >= WARMUP_STEPS
+                    for entry in heap):
+                block_gpu, warming_gpu = warming_gpu, None
+            # (time, sequence, ...) > (horizon time, horizon sequence)
+            # exactly when the chunk does not precede the control event:
+            # sequence numbers are unique, so the pair never ties.
+            entry = heap[0]
+            if entry > horizon:
+                break
+            if cluster + entry[3] >= total:
+                top = peek_next()
+                if top is not None and (top.time, top.sequence) < entry[:2]:
+                    break
+            time, _sequence, worker, steps, start_time = heappop(heap)
+            # --- completion (mirrors _complete_chunk) ---
+            worker.steps_done += steps
+            cluster += steps
+            pops += 1
+            rows.append((worker.worker_id, start_time, time, steps, cluster,
+                         worker.steps_done))
+            if pops == flush_at:
+                flush_rows()
+                flush_at += FASTFORWARD_SEGMENT_CHUNKS
+            if cluster >= total:
+                finished = True
+                break
+            checkpoint_delay = 0.0
+            if worker.is_chief and cluster >= self._next_checkpoint_step:
+                self._cluster_steps = cluster
+                checkpoint_delay = self._perform_checkpoint(worker, now=time)
+            # --- next chunk (mirrors _schedule_chunk/_chunk_duration) ---
+            if used == count and block_gpu is not None:
+                # A segment one chunk per worker short of the draws due
+                # before the horizon at the mean pace, so it is normally
+                # used up; the last few chunks draw one by one.
+                used = 0
+                count = min(FASTFORWARD_SEGMENT_CHUNKS,
+                            -(-(total - cluster) // steps_per))
+                ahead = (horizon[0] - time + sum(horizon[0] - entry[0]
+                                                 for entry in heap)) / chunk_mean
+                if ahead - len(heap) - 1 < count:
+                    count = max(0, int(ahead) - len(heap) - 1)
+                if count > 1:
+                    segment_state = model.generator.bit_generator.state
+                    sums = _chunk_sums(model, gflops, block_gpu, count,
+                                       steps_per, ps_arg, slowdown)
+                else:
+                    count = 0
+            if used < count:
+                duration = sums[used]
+                used += 1
+            elif worker.steps_done >= WARMUP_STEPS:
+                gpu = worker.gpu_name
+                params = draw_params.get(gpu)
+                if params is None:
+                    params = draw_params[gpu] = model.chunk_draw_params(
+                        gflops, gpu, ps_utilization=ps_arg, slowdown=slowdown)
+                floor = params[2]
+                duration = 0.0
+                for value in sample_chunk_raw(params, steps_per).tolist():
+                    duration += value if value > floor else floor
+            else:
+                duration = 0.0
+                for value in model.sample_steps(
+                        gflops, worker.gpu_name, steps_per,
+                        start_step_index=worker.steps_done,
+                        ps_utilization=ps_arg, slowdown=slowdown).tolist():
+                    duration += value
+            delay = checkpoint_delay + duration
+            if time + checkpoint_delay < restart_until:
+                delay += restart_until - (time + checkpoint_delay)
+            heappush(heap, (time + delay, claim_sequence(), worker, steps_per,
+                            time + delay - duration))
+
+        self._cluster_steps = cluster
+        if used < count:
+            # Rewind: advance the stream by exactly the draws used.
+            model.generator.bit_generator.state = segment_state
+            sample_chunk_raw(model.chunk_draw_params(
+                gflops, block_gpu, ps_utilization=ps_arg, slowdown=slowdown),
+                used * steps_per)
+        if pops:
+            if rows:
+                flush_rows()
+            self.ps_group.record_updates(cluster - cluster_start)
+            self.fast_forward_chunks += pops
+            self.fast_forward_spans += 1
+        if finished:
+            sim.advance_to(time)
+            self._finish()
+            return pops
+        for entry in heap:
+            self._requeue(*entry)
         return pops
 
     # ------------------------------------------------------------------
@@ -872,8 +1156,8 @@ class TrainingSession:
                 self._recompute_from_checkpoint()
             self._schedule_chunk(worker)
 
-        self.simulator.schedule(overhead_seconds, join,
-                                label=f"{worker.worker_id}:join")
+        self.schedule_control(overhead_seconds, join,
+                              label=f"{worker.worker_id}:join")
         return worker
 
     def _recompute_from_checkpoint(self) -> None:
@@ -899,11 +1183,15 @@ class TrainingSession:
                                   self.simulator.now + SESSION_RESTART_SECONDS)
 
     def fast_forward(self, max_pops: Optional[int] = None,
-                     top: Optional[Event] = None) -> int:
+                     top: Optional[Event] = None,
+                     horizon: Optional[Tuple[float, float]] = None) -> int:
         """Public fast-forward hook for multi-session drivers.
 
         ``top``, when given, must be the caller's fresh ``peek_next()``
-        result, so the heap is not peeked a second time.
+        result, so the heap is not peeked a second time.  ``horizon``
+        (with ``top``) turns the span into a replay window bounded by the
+        session's next control event (:meth:`control_horizon`) instead of
+        the heap top; see :meth:`_fast_forward`.
 
         :mod:`repro.scenarios` runs many sessions on one simulator; each
         session can only replay spans while the next event due is one of its
@@ -915,7 +1203,7 @@ class TrainingSession:
         cached against the blocking foreign event, so repeated offers to an
         undisturbed session cost no heap peeks.
         """
-        return self._fast_forward(max_pops, top=top)
+        return self._fast_forward(max_pops, top=top, horizon=horizon)
 
     # ------------------------------------------------------------------
     # Convenience runners.

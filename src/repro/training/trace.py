@@ -275,8 +275,13 @@ class StepRecordArray(TraceSink, Sequence):
             return
         self._reserve(n)
         i = self._size
-        intern = self._intern
-        self._widx[i:i + n] = [intern(worker_id) for worker_id in worker_ids]
+        index_of = self._name_index
+        try:
+            indices = [index_of[worker_id] for worker_id in worker_ids]
+        except KeyError:
+            # A worker's first rows: intern in first-appearance order.
+            indices = [self._intern(worker_id) for worker_id in worker_ids]
+        self._widx[i:i + n] = indices
         self._start[i:i + n] = start_times
         self._end[i:i + n] = end_times
         self._steps[i:i + n] = steps

@@ -3,9 +3,13 @@
 The wake-set scheduler must reproduce the payloads of the round-robin loop
 it replaced (a test-only oracle in ``tests/oracles.py``) bit for bit,
 across every named scenario, both simulation core paths, and any sweep
-worker count; a 100-job fleet must respect the ``MAX_EVENTS_PER_JOB``
-guard and leave a drainable heap behind.
+worker count; its replay windows must stop at each job's own control
+events, break time ties by sequence number, and leave every step-time
+stream where per-chunk draws leave it; a 100-job fleet must respect the
+``MAX_EVENTS_PER_JOB`` guard and leave a drainable heap behind.
 """
+
+from dataclasses import replace as dataclass_replace
 
 import pytest
 
@@ -69,6 +73,68 @@ def test_golden_payloads_across_sweep_workers(name, catalog, monkeypatch):
     parallel = run_scenario(scenario, replicates=2, seed=9, workers=4,
                             catalog=catalog)
     assert parallel.payloads() == serial.payloads()
+
+
+# ---------------------------------------------------------------------------
+# Replay windows: control events bound them, ties break by sequence.
+# ---------------------------------------------------------------------------
+def test_replay_windows_stop_at_control_events_and_break_ties_by_sequence(
+        catalog, monkeypatch):
+    scenario = scaled_storm(4, total_steps=1500)
+    chunked = FleetRun(scenario, RandomStreams(seed=3), catalog=catalog,
+                       fast_forward=False)
+    chunked.run()
+    rows = chunked.jobs[0].session.trace.step_records
+    ends = [row.end_time for row in rows if row.worker_id == "worker-0"]
+    # An observer registered at launch sorts before the chunk it ties with;
+    # one registered mid-run (by the observer between two chunks) sorts
+    # after the tied chunk, which was already in flight.
+    tie_before, tie_after = ends[20], ends[41]
+    between = (ends[40] + ends[41]) / 2
+    assert between + (tie_after - between) == tie_after
+
+    def fleet(**kwargs):
+        run = FleetRun(scenario, RandomStreams(seed=3), catalog=catalog,
+                       **kwargs)
+        session = run.jobs[0].session
+        seen = []
+
+        def observe(sim):
+            seen.append((sim.now, session.cluster_steps,
+                         len(session.trace.step_records)))
+            if sim.now == between:
+                session.schedule_control(tie_after - sim.now, observe)
+
+        session.schedule_control(tie_before, observe)
+        session.schedule_control(between, observe)
+        return run.run(), seen
+
+    payload, seen = fleet()
+    assert [time for time, _, _ in seen] == [tie_before, between, tie_after]
+    assert seen[0][2] == sum(1 for row in rows if row.end_time < tie_before)
+    assert seen[2][2] == sum(1 for row in rows if row.end_time <= tie_after)
+    assert fleet(fast_forward=False) == (payload, seen)
+    use_reference(monkeypatch, scheduler="roundrobin")
+    assert fleet() == (payload, seen)
+
+
+def test_segmented_draws_leave_step_time_streams_where_chunks_do(catalog):
+    # Checkpoints every 20 chunks delay workers, so windows regularly stop
+    # inside a drawn-ahead segment and must rewind the generator.
+    storm = scaled_storm(4, total_steps=3000)
+    scenario = dataclass_replace(storm, jobs=tuple(
+        dataclass_replace(job, checkpoint_interval_steps=200)
+        for job in storm.jobs))
+    runs = [FleetRun(scenario, RandomStreams(seed=3), catalog=catalog,
+                     fast_forward=fast_forward)
+            for fast_forward in (None, False)]
+    windowed, chunked = (run.run() for run in runs)
+    assert windowed == chunked
+    for fast, slow in zip(runs[0].jobs, runs[1].jobs):
+        assert (fast.session.step_time_model.generator.bit_generator.state
+                == slow.session.step_time_model.generator.bit_generator.state)
+        assert (list(fast.session.trace.step_records)
+                == list(slow.session.trace.step_records))
 
 
 # ---------------------------------------------------------------------------

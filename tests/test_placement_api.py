@@ -116,6 +116,31 @@ def test_query_rejects_bad_fields(kwargs, match):
         PlacementQuery(gpu_name="k80", **kwargs)
 
 
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_query_rejects_non_finite_duration(value):
+    with pytest.raises(ConfigurationError, match="duration_hours"):
+        PlacementQuery(gpu_name="k80", duration_hours=value,
+                       hour_of_day_utc=9.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_query_rejects_non_finite_utc_hour(value):
+    # Without the check NaN and infinities silently wrapped to hour 0.
+    with pytest.raises(ConfigurationError, match="hour_of_day_utc"):
+        PlacementQuery(gpu_name="k80", duration_hours=1.0,
+                       hour_of_day_utc=value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_query_rejects_non_finite_launch_hours(value):
+    with pytest.raises(ConfigurationError, match="launch_hours"):
+        PlacementQuery(gpu_name="k80", duration_hours=1.0,
+                       launch_hours=(8, value))
+
+
 def test_query_normalizes_hours():
     grid = PlacementQuery(gpu_name="k80", duration_hours=1.0,
                           launch_hours=(8.6, 23))

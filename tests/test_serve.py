@@ -200,6 +200,33 @@ def test_tcp_errors_answer_error_lines_without_killing_the_stream():
     assert good["ok"] and good["result"]["options"]
 
 
+def test_tcp_answers_bad_request_for_non_finite_query_fields():
+    base = {"gpu_name": "k80", "duration_hours": 1.0, "hour_of_day_utc": 9.0}
+    bad = [dict(base, duration_hours=float("nan")),
+           dict(base, hour_of_day_utc=float("inf")),
+           {"gpu_name": "k80", "duration_hours": 1.0,
+            "launch_hours": [8, float("-inf")]}]
+
+    async def scenario():
+        server = await start_server(make_service())
+        host, port = serve_address(server)
+        try:
+            # json.dumps writes the NaN / Infinity tokens a lenient client
+            # would send; the server must not answer them with a decision.
+            return await request(host, port, [{"op": "answer", "query": query}
+                                              for query in bad])
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    responses = asyncio.run(scenario())
+    for response, field in zip(responses, ("duration_hours",
+                                           "hour_of_day_utc",
+                                           "launch_hours")):
+        assert not response["ok"] and response["code"] == "bad_request"
+        assert field in response["error"]
+
+
 # ---------------------------------------------------------------------------
 # Hardening: health, timeouts, backpressure, retries (PR 9).
 # ---------------------------------------------------------------------------
@@ -241,6 +268,20 @@ def test_server_config_validation():
         ServerConfig(request_timeout=0)
     with pytest.raises(ConfigurationError):
         ServerConfig(max_connections=0)
+
+
+def test_non_finite_request_timeout_is_a_one_line_diagnostic(capsys):
+    from repro.serve.cli import main
+
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="request_timeout"):
+            ServerConfig(request_timeout=value)
+    code = main(["serve", "--request-timeout", "nan", "--port", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: request_timeout")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""
 
 
 def test_slow_dispatch_answers_a_timeout_error_line(monkeypatch):

@@ -12,11 +12,14 @@ Covers the PR's two analysis surfaces from the artifact side:
 
 import json
 import os
+import struct
+import zipfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.errors import DataError
 from repro.scenarios.catalog import get_scenario
 from repro.telemetry import (
     TelemetryConfig,
@@ -24,6 +27,7 @@ from repro.telemetry import (
     diff_artifacts,
     export_fleet_telemetry,
     fleet_report,
+    recalibrate,
     render_report,
     write_npz,
     TelemetryReader,
@@ -221,6 +225,53 @@ def test_diff_added_removed_jobs_and_row_counts(tmp_path):
     assert "jobs only in A: [0]" in summary
     assert "jobs only in B: [2]" in summary
     assert "steps rows 4 vs 5" in summary
+
+
+# ---------------------------------------------------------------------------
+# Corrupted members: a DataError naming the member, never a raw zip error.
+# ---------------------------------------------------------------------------
+def _flip_member_byte(path, out_path, member):
+    """Copy ``path`` with one byte of ``member``'s array data flipped.
+
+    The zip opens fine (the central directory is intact) but the member
+    fails its CRC check when it is read — the lazy-read failure mode.
+    """
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    with open(path, "rb") as handle:
+        data = bytearray(handle.read())
+    name_len, extra_len = struct.unpack_from("<HH", data,
+                                             info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    data[start + info.compress_size - 8] ^= 0x40
+    with open(out_path, "wb") as handle:
+        handle.write(bytes(data))
+    return out_path
+
+
+@pytest.fixture
+def corrupted_artifact(tmp_path, hetero_artifact):
+    return _flip_member_byte(hetero_artifact, str(tmp_path / "flipped.npz"),
+                             "job000001/steps/000000.npy")
+
+
+@pytest.mark.parametrize("analysis", [fleet_report, recalibrate])
+def test_corrupted_member_raises_data_error(corrupted_artifact, analysis):
+    with TelemetryReader(corrupted_artifact) as reader:
+        with pytest.raises(DataError, match="job000001/steps/000000") as info:
+            analysis(reader)
+    assert corrupted_artifact in str(info.value)
+    assert isinstance(info.value.__cause__, zipfile.BadZipFile)
+
+
+def test_cli_report_on_corrupted_member_is_one_error_line(corrupted_artifact,
+                                                          capsys):
+    assert telemetry_cli(["report", corrupted_artifact]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: corrupted "
+                                                   "telemetry member")
+    assert "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------
