@@ -4,11 +4,12 @@ Runs a reference training session — ResNet-32 on 8 K80 workers, 100k
 steps, checkpoints every 4k steps — through the discrete-event core twice:
 once on the chunked event-by-event path and once on the vectorized
 fast-forward path, verifies the two traces are bit-identical, and records
-steps/second, chunk events/second, wall time and peak traced memory for
-each.  A smaller 20k-step *quick* configuration is measured too; CI replays
-it as a throughput regression gate.  The quick chunked-path steps/second
-(:func:`chunked_steps_per_sec`) is also the host-speed denominator the
-fleet and serve baselines normalize their throughput by.
+steps/second, chunk events/second, wall time (best of five runs) and peak
+traced memory for each.  A smaller 20k-step *quick* configuration is
+measured too; CI replays it as a throughput regression gate.  The quick
+chunked-path steps/second (:func:`chunked_steps_per_sec`) is also the
+host-speed denominator the fleet and serve baselines normalize their
+throughput by.
 
 Run with::
 
@@ -47,6 +48,11 @@ QUICK_STEPS = 20_000
 #: Allowed fractional steps/sec regression before ``--check`` fails.
 REGRESSION_TOLERANCE = 0.30
 
+#: Timed runs per measurement; the fastest counts.  One quick fast-path
+#: run takes a few milliseconds, so a single reading swings with the
+#: host's scheduler; the minimum of several does not.
+BEST_OF = 5
+
 OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "BENCH_core.json")
 
@@ -76,7 +82,7 @@ def chunked_steps_per_sec() -> float:
     """Best-of-five chunked-path steps/sec of the quick reference session:
     a pure-Python event-loop rate that tracks the host's speed."""
     rates = []
-    for _ in range(5):
+    for _ in range(BEST_OF):
         _, trace, wall, _ = _run_once(QUICK_STEPS, fast_forward=False)
         rates.append(trace.total_steps / wall)
     return max(rates)
@@ -85,7 +91,12 @@ def chunked_steps_per_sec() -> float:
 def _measure(total_steps: int, fast_forward: bool) -> dict:
     # Timing and memory are measured on separate runs: tracemalloc hooks
     # every allocation and would slow both paths (unevenly) by several x.
-    session, trace, wall, _ = _run_once(total_steps, fast_forward)
+    # Every run replays the same seeded session, so only the wall differs.
+    walls = []
+    for _ in range(BEST_OF):
+        session, trace, wall, _ = _run_once(total_steps, fast_forward)
+        walls.append(wall)
+    wall = min(walls)
     _, _, _, peak_bytes = _run_once(total_steps, fast_forward, trace_memory=True)
     return {
         "wall_seconds": round(wall, 4),

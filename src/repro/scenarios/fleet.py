@@ -31,8 +31,8 @@ cover about 150 (``benchmarks/BENCH_fleet.json`` records the count).
 
 Two cases keep the global order.  A job with a queued pool request
 (``replacements_pending > 0``) can be granted a slot by any pool event —
-another job's finish, a reclaim return, a warm cooldown — so it replays
-only up to the heap top, as before.  And a window completes a job's
+another job's finish, a reclaim return, a warm cooldown — so its window
+ends at the first other event on the heap.  And a window completes a job's
 finishing chunk only when that chunk is the heap top, because finishing
 releases pool slots that other jobs' queued requests (and their
 revocation draws from the shared stream) consume.  Every event that
@@ -616,8 +616,8 @@ class FleetRun:
         reaches the disturbed session through ordinary heap events, after
         which its next chunk surfaces at the top and wakes it again.  A job
         with a queued pool request can be granted a slot by any pool event,
-        so its replay keeps the heap-top bound.  Returns the number of
-        events processed.
+        so it passes no horizon and its window ends at the first other
+        event on the heap.  Returns the number of events processed.
         """
         sim = self.simulator
         peek_next = sim.peek_next

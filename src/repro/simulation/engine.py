@@ -14,13 +14,9 @@ session's vectorized fast-forward path and the fleet wake-set scheduler:
 :meth:`Simulator.peek_next` (what fires next, without firing it),
 :meth:`Simulator.claim_sequence` / ``schedule_at(..., sequence=...)``
 (pre-allocating tie-breaker sequence numbers so events replayed outside the
-heap keep their exact ordering), event *ownership* tags
+heap keep their exact ordering), and event *ownership* tags
 (``schedule(..., owner=...)``, so a multi-session driver can map the heap
-top to the one session able to make fast-forward progress), and per-owner
-insertion epochs (:meth:`Simulator.owner_insertions`, bumped whenever an
-owner inserts an event, which lets a session cache its *disturbance
-horizon* — "I am blocked behind that foreign event" — and skip even the
-heap peek until the cached verdict can no longer be valid).
+top to the one session able to make fast-forward progress).
 :meth:`Simulator.next_event_time` exposes the heap top's timestamp as a
 progress lower bound, which the sharded fleet driver
 (:mod:`repro.scenarios.shard`) reports across process boundaries to order
@@ -30,7 +26,7 @@ cross-shard random draws deterministically.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulation.events import Event
@@ -73,7 +69,6 @@ class Simulator:
         self._sequence = 0
         self._running = False
         self._cancelled_in_queue = 0
-        self._owner_insertions: Dict[int, List[int]] = {}
         self.epoch_hour_utc = wrap_hour(epoch_hour_utc)
 
     # ------------------------------------------------------------------
@@ -129,9 +124,7 @@ class Simulator:
                 :meth:`claim_sequence`.  Used by fast-forward replay to
                 reinsert events with their original ordering; omit it for
                 normal scheduling.
-            owner: Optional ownership tag (see :class:`Event`).  Owned
-                insertions bump the owner's epoch counter
-                (:meth:`owner_insertions`).
+            owner: Optional ownership tag (see :class:`Event`).
         """
         if time < self._now:
             raise SimulationError(
@@ -146,41 +139,8 @@ class Simulator:
                       label=label, owner=owner)
         event._owner = self
         event._in_queue = True
-        if owner is not None:
-            key = id(owner)
-            cell = self._owner_insertions.get(key)
-            if cell is None:
-                self._owner_insertions[key] = [1]
-            else:
-                cell[0] += 1
         heapq.heappush(self._queue, (event.time, sequence, event))
         return event
-
-    def owner_insertions(self, owner: Any) -> int:
-        """How many events tagged with ``owner`` were ever inserted.
-
-        A session's disturbance-horizon cache snapshots this epoch: the
-        cached "blocked behind a foreign event" verdict stays valid while
-        the blocking event is still pending *and* the session inserted no
-        new events of its own (a new own chunk could sort ahead of the old
-        blocker).  Foreign insertions never invalidate — another foreign
-        event ahead of the session's chunks keeps it just as blocked.
-        """
-        cell = self._owner_insertions.get(id(owner))
-        return cell[0] if cell is not None else 0
-
-    def owner_insertion_cell(self, owner: Any) -> List[int]:
-        """The live one-element counter behind :meth:`owner_insertions`.
-
-        Hot paths (a session's per-offer cache check) read the epoch as
-        ``cell[0]`` instead of paying a method call per probe.
-        """
-        key = id(owner)
-        cell = self._owner_insertions.get(key)
-        if cell is None:
-            cell = [0]
-            self._owner_insertions[key] = cell
-        return cell
 
     def claim_sequence(self) -> int:
         """Reserve and return the next event sequence number.
@@ -283,7 +243,7 @@ class Simulator:
             while self._queue:
                 if max_events is not None and processed >= max_events:
                     break
-                next_event = self._peek()
+                next_event = self.peek_next()
                 if next_event is None:
                     break
                 if until is not None and next_event.time > until:
@@ -306,15 +266,11 @@ class Simulator:
         """
         if time < self._now:
             raise SimulationError("cannot move the clock backwards")
-        next_event = self._peek()
+        next_event = self.peek_next()
         if next_event is not None and next_event.time < time:
             raise SimulationError(
                 "cannot advance past a pending event; call run(until=...) instead")
         self._now = float(time)
-
-    def _peek(self) -> Optional[Event]:
-        """Return the next non-cancelled event without firing it."""
-        return self.peek_next()
 
     # ------------------------------------------------------------------
     # Lazy-deletion bookkeeping.

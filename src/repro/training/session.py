@@ -17,90 +17,68 @@ this down):
 * the *chunked* path — the original discrete-event loop: one heap event
   per ``steps_per_event`` steps per worker, one scalar RNG draw per step;
 * the *fast-forward* path (:meth:`TrainingSession._fast_forward`, on by
-  default) — whenever the next events due are this session's own chunk
-  completions, the session pulls them out of the simulator heap and
-  replays the exact same completion/schedule logic in a tight loop.  A
-  span ends at a bound chosen by the caller: on its own
-  (:meth:`run_to_completion`) the session replays up to the heap top — the
-  first foreign event (a scheduled revocation, a replacement joining, a
-  fault-injector poll, a controller wake-up, ...) — or the end of the
-  workload; a multi-session loop can instead pass a replay *horizon*,
-  the session's next control event, and get a replay window (see below).
-  Checkpoints do not break a span — they draw from their own named RNG
-  stream, so they are replayed in-line.  Step durations are drawn with
-  vectorized :meth:`~repro.perf.step_time.StepTimeModel.sample_steps`
-  calls (one ``Generator.normal`` per chunk instead of one per step), and
-  when every active worker is past warm-up with the same step-time
-  distribution and no foreign event is pending at all, the whole
-  remaining workload's durations come from a *single* block draw.  Chunk
-  rows are bulk-appended to the trace's columnar buffers.
+  default) — whenever the next event due is one of this session's own
+  chunk completions, the session lifts its due chunks off the simulator
+  heap and replays the exact same completion/schedule logic on a local
+  heap, in one loop (:meth:`TrainingSession._window_span`), up to a
+  bound.
 
-Bit-identity holds because (a) the vector draws consume the shared
-``step_time`` stream exactly like the scalar draws they replace, (b) every
+The replay window has one of two bounds:
+
+* a **control horizon** from the caller.  Only a session's *control
+  events* read or write it — controller polls, worker revocations,
+  replacement joins and fault-injector polls, all scheduled through
+  :meth:`schedule_control`, the one place that registers them.  Chunk
+  events are tagged with their owning session (``Event.owner``), so a
+  driver multiplexing many sessions on one simulator
+  (:mod:`repro.scenarios`) maps the heap top to its session and passes
+  :meth:`control_horizon`, the ``(time, sequence)`` key of that session's
+  next control event.  The window replays every chunk due before it,
+  regardless of what other sessions have due in between (the per-process
+  lookahead of conservative parallel simulation).
+* **the first other event** on the heap, when the caller passes no
+  horizon: :meth:`run_to_completion`, and a fleet job whose queued pool
+  request any pool event may grant.  The window lifts the session's chunks
+  off the heap top and stops where event-by-event execution would hand
+  over; with nothing else pending the bound is ``(inf, inf)`` and a lone
+  session replays its whole workload in one window.
+
+Checkpoints do not end a window — they draw from their own named RNG
+stream, so they are replayed in-line.  The chunk that finishes the
+workload is replayed only when it is the heap top: finishing releases pool
+slots, cancels queued requests and can hand a slot to another job, so it
+must happen in global order.
+
+Bit-identity holds because (a) the draws consume the shared ``step_time``
+stream exactly like the scalar draws they replace, (b) every
 time/duration expression is replicated operation-for-operation, and
-(c) event sequence numbers are claimed from the simulator as the replay
-goes, so any chunk re-materialized into the heap at a span boundary keeps
-the exact (time, sequence) ordering the chunked path would have produced.
-The per-worker RNG *order* is preserved too: draws happen at chunk
-scheduling time, in completion order, on both paths.
+(c) successors claim sequence numbers from the simulator as they are
+scheduled, so a chunk tied in time with the bound orders by sequence just
+as it would on the heap, and chunks returned to the heap keep the numbers
+they claimed.  The per-worker RNG *order* is preserved too: draws happen
+at chunk scheduling time, in completion order, on both paths.  Nothing
+that reads or writes the session fires inside a window, so its state at
+each control event is exactly the chunked path's; a control horizon
+changes only the order between this session's chunks and events that
+cannot touch them.  (One theoretical exception: a finishing chunk claims
+its number inside a window, so a bit-exact time tie with another job's
+event could order differently than on the chunked path.  Chunk times are
+sums of continuous draws; no fixture or benchmark run has such a tie.)
 
-Fleet-scale hooks
------------------
-Chunk-completion events are tagged with their owning session
-(``Event.owner``), so a driver multiplexing many sessions on one simulator
-(:mod:`repro.scenarios`) can map the heap top to the single session whose
-fast-forward can progress in O(1).  On a shared heap the heap-top bound
-ends almost every span after one chunk, because the next event is nearly
-always another session's chunk.  Other sessions' chunks cannot read or
-write this session, though; only its *control events* can — controller
-polls, worker revocations, replacement joins and fault-injector polls,
-all scheduled through :meth:`schedule_control`, the one place that
-registers them.  A fleet loop therefore passes :meth:`control_horizon`
-— the ``(time, sequence)`` key of the next one — and :meth:`_window_span`
-replays every chunk due before it on a local heap, in exact
-``(time, sequence)`` order, regardless of what other sessions have due in
-between (the per-process lookahead of conservative parallel simulation).
-Two cases fall back:
-
-* the chunk that finishes the workload is replayed only when it is the
-  heap top: finishing releases pool slots, cancels queued requests and can
-  hand a slot to another job, so it must happen in global order;
-* the loop passes no horizon for a session whose pending pool request
-  can be granted by *any* pool event (the fleet does this for jobs with
-  queued replacements), which keeps the heap-top bound.
-
-Payloads stay identical because nothing that reads or writes the session
-fires inside a window: the session's state at each control event is
-exactly the chunked path's.  Successors claim sequence numbers as they
-are scheduled, so a chunk tied in time with a control event orders by
-sequence just as it would on the heap; survivors return to the heap with
-the numbers they claimed.  What changes is only the order between this
-session's chunks and events that cannot touch them.  (One theoretical
-exception: a finishing chunk claims its number inside a window, so a
-bit-exact time tie with another job's event could order differently than
-on the chunked path.  Chunk times are sums of continuous draws; no
-fixture or benchmark run has such a tie.)  Inside a window, when every
-replaying worker is past warm-up on one step-time distribution and the
-checkpoint model draws from another generator, successor durations come
-from vectorized segments drawn ahead.  A window that ends before using up
-its last segment restores the generator's saved ``bit_generator.state``
-and redraws exactly the values it used, so the stream advances exactly
-as per-chunk draws would (normal fills consume the bit stream
-sequentially — the same property the block draws rely on).
-
-The heap-top path also caches its *disturbance horizon* for callers that
-re-offer blindly: when :meth:`fast_forward` finds a foreign event at the
-top of the heap it remembers that blocking event and, until the blocker
-leaves the heap or the session schedules new chunks of its own (tracked
-through the simulator's per-owner insertion epochs), later offers return
-immediately without touching the heap at all.  Block-mode spans draw
-their step durations in bounded segments and flush staged rows to the
-columnar trace incrementally, and the trace buffers are shrunk to fit
-when the workload finishes, so the fast path's peak memory stays close to
-the chunked path's.  ``trace_level="summary"`` swaps the columnar trace
-for an aggregates-only :class:`~repro.training.trace.StepRecordSummary`
-sink — fleet runs that only consume end-of-run payloads keep O(1) trace
-memory per job, with byte-identical payloads.
+Step durations are drawn with one ``Generator.normal`` per chunk.  When
+enough draws are due before the bound, every replaying worker is past
+warm-up on one step-time distribution, and the checkpoint model draws
+from another generator, they come from vectorized segments drawn ahead
+instead.  A window that ends before using up its last segment restores
+the generator's saved ``bit_generator.state`` and redraws exactly the
+values it used, so the stream advances exactly as per-chunk draws would
+(normal fills consume the bit stream sequentially).  Segments and staged
+trace rows are bounded, and the trace buffers are shrunk to fit when the
+workload finishes, so the fast path's peak memory stays close to the
+chunked path's.  ``trace_level="summary"`` swaps the columnar trace for
+an aggregates-only :class:`~repro.training.trace.StepRecordSummary` sink —
+fleet runs that only consume end-of-run payloads keep O(1) trace memory
+per job, with byte-identical payloads.
 
 ``REPRO_CORE_FASTFORWARD=0`` (or ``fast_forward=False``) forces the
 chunked path.  The core-throughput baseline lives in
@@ -145,22 +123,28 @@ from repro.training.worker import WorkerState
 #: paper's own speed metric is already a 100-step average.
 DEFAULT_STEPS_PER_EVENT = 10
 
-#: Chunks whose durations are drawn per RNG call in block mode, and rows
+#: Most chunks whose durations one vectorized segment draws, and rows
 #: staged before they are flushed to the trace: bounds the fast path's
 #: transient memory (arrays of SEGMENT * steps_per_event floats) without
 #: changing the draws — segmented ``Generator.normal`` fills consume the
 #: bit stream exactly like one big fill.
 FASTFORWARD_SEGMENT_CHUNKS = 1024
 
+#: Fewest chunks worth a vectorized segment or a bulk row write.  Below
+#: it, per-chunk draws beat a segment plus its rewind, and per-row
+#: ``append_row`` calls beat the six column slice assignments of
+#: ``extend_rows``.
+_SHORT_WINDOW_CHUNKS = 16
+
 
 #: One scheduled-but-not-completed chunk of a worker, stored as a plain
 #: ``(event, steps, start_time)`` tuple — it mirrors what the chunk event's
 #: callback closure captures, so the fast-forward path can simulate the
 #: completion without the heap, and a tuple keeps the per-chunk bookkeeping
-#: of the replay loops allocation-cheap.
+#: of the replay loop allocation-cheap.
 _InflightChunk = Tuple[Event, int, float]
 
-#: Replay horizon of a session with no pending control event.
+#: Replay horizon when no control event (or no other event) is pending.
 _UNBOUNDED = (math.inf, math.inf)
 
 
@@ -251,13 +235,6 @@ class TrainingSession:
         self.fast_forward_chunks = 0
         #: Fast-forward spans executed (stats/benchmarks).
         self.fast_forward_spans = 0
-        #: Disturbance-horizon cache: the foreign event the last offer was
-        #: blocked behind, and this session's insertion epoch at that time.
-        #: The epoch is read through the simulator's live counter cell so a
-        #: declined offer costs a few attribute reads, not a method call.
-        self._ff_blocker: Optional[Event] = None
-        self._ff_own_epoch = -1
-        self._insertion_cell = simulator.owner_insertion_cell(self)
         #: Membership epoch and the (slowdown, utilization) memo keyed on
         #: it: both are pure functions of the active-worker set and the PS
         #: count, so they only change when a worker joins/is revoked or a
@@ -516,7 +493,6 @@ class TrainingSession:
         for inflight in self._inflight.values():
             inflight[0].cancel()
         self._inflight.clear()
-        self._ff_blocker = None
         # A finished trace is read, never appended to: return the growth
         # slack of the columnar buffers (no-op for summary sinks).
         self.trace.step_records.shrink_to_fit()
@@ -529,366 +505,52 @@ class TrainingSession:
     def _fast_forward(self, max_pops: Optional[int] = None,
                       top: Optional[Event] = None,
                       horizon: Optional[Tuple[float, float]] = None) -> int:
-        """Replay chunk completions up to the disturbance horizon.
+        """Replay chunk completions in one replay window.
 
-        Pops this session's due chunk events off the simulator heap and
-        processes them fused — in exact (time, sequence) order, consuming
-        the same RNG draws at the same points — until the workload
-        finishes, the next event due is *foreign* (not one of this
-        session's in-flight chunks), or ``max_pops`` completions were
+        Runs when the next event due — ``top``, the caller's fresh
+        ``peek_next()``, or the heap top when ``top`` is ``None`` — is one
+        of this session's in-flight chunks, and replays them with
+        :meth:`_window_span` in exact (time, sequence) order, consuming the
+        same RNG draws at the same points, until the workload finishes,
+        the window reaches its bound, or ``max_pops`` completions were
         replayed (each counts like one processed heap event, so
         :meth:`run_to_completion`'s ``max_events`` truncates identically on
-        both paths).  Each completion schedules its successor chunk
-        straight back into the heap; because nothing else can insert events
-        during the replay, the successor receives exactly the sequence
-        number plain event-by-event execution would have assigned, so the
-        two paths can hand execution back and forth at any span boundary
-        without drifting.
+        both paths).
 
         ``horizon``, when given, is the ``(time, sequence)`` key of this
-        session's next control event (:meth:`control_horizon`) and replaces
-        the heap-top bound with a replay window (:meth:`_window_span`):
-        other sessions' events no longer end the span.  The caller vouches
-        that no event other than this session's registered control events
-        reads or writes the session before the horizon.
+        session's next control event (:meth:`control_horizon`), and the
+        caller vouches that no event other than this session's registered
+        control events reads or writes the session before it.  Without
+        one, the window is bounded by the first other event on the heap.
 
         Returns:
             The number of chunk completions replayed.
         """
         budget = math.inf if max_pops is None else max_pops
-        if budget <= 0:
+        if (budget <= 0 or self._finished or not self.fast_forward_enabled
+                or not self._inflight):
             return 0
-        if self._finished or not self.fast_forward_enabled or not self._inflight:
+        if top is None:
+            top = self.simulator.peek_next()
+        if not self._is_live_chunk(top):
             return 0
-        sim = self.simulator
-        # The disturbance-horizon cache only pays off for callers that
-        # re-offer blindly (run_to_completion after every heap event, or
-        # any external driver without its own peek).  A caller passing a
-        # fresh ``top`` already knows what fires next, so the cache
-        # bookkeeping is skipped entirely on that path.
-        use_horizon = top is None
-        if use_horizon:
-            # A previous offer was blocked behind a foreign event.  While
-            # that blocker is still in the heap and this session inserted
-            # no new chunk events (its own-insertion epoch is unchanged, so
-            # no own chunk can have sorted ahead of the blocker), every
-            # chunk of this session still sorts after a foreign event — the
-            # offer is declined without even peeking at the heap.
-            blocker = self._ff_blocker
-            if blocker is not None:
-                if (blocker._in_queue and not blocker.cancelled
-                        and self._insertion_cell[0] == self._ff_own_epoch):
-                    return 0
-                self._ff_blocker = None
-            top = sim.peek_next()
-            if top is None:
-                return 0
-        inflight = self._inflight
-        if (top.owner is not self
-                or (info := inflight.get(top.label[:-6])) is None
-                or info[0] is not top):
-            # A foreign event (disturbance) fires first; nothing to replay.
-            # Chunk completions are the only events a session owns (their
-            # labels are "<worker>:chunk"), so the ownership tag plus the
-            # in-flight identity check replace the old O(workers) id-set
-            # probe.  An owned event that is *not* the worker's current
-            # in-flight chunk (a stale chunk of a re-started session)
-            # counts as foreign too: it fires through the heap, exactly
-            # like the old probe treated it.
-            if use_horizon:
-                self._ff_blocker = top
-                self._ff_own_epoch = self._insertion_cell[0]
-            return 0
+        return self._window_span(budget, horizon, top)
 
-        # pending_events() inlined (len(queue) - cancelled): this runs once
-        # per span and fleets execute hundreds of thousands of short spans.
-        if len(sim._queue) - sim._cancelled_in_queue == len(inflight):
-            # Every pending event is one of this session's chunks: the
-            # whole remaining workload can drain through the bulk span
-            # (local heap, block draws, bulk trace appends).
-            return self._drain_span(budget)
-        if horizon is not None:
-            return self._window_span(budget, horizon)
+    def _is_live_chunk(self, event: Optional[Event]) -> bool:
+        """Whether ``event`` completes one of this session's in-flight
+        chunks.
 
-        # Fused span: foreign events are pending, so the span is bounded by
-        # the first one.  Each due chunk is popped off the heap (a true
-        # removal, no cancelled corpses), completed, and its successor
-        # scheduled straight back; because nothing else can insert events
-        # during the replay, the successor receives exactly the sequence
-        # number plain event-by-event execution would have assigned, so the
-        # two paths can hand execution back and forth at any span boundary
-        # without drifting.  Span-constant quantities (membership cannot
-        # change inside a span — membership changes arrive via foreign
-        # events) come from the memoized _span_speed_state.
-        model = self.step_time_model
-        gflops = self.job.profile.gflops
-        if self._speed_epoch == self._membership_epoch:
-            slowdown, _utilization, ps_arg = self._speed_cache
-        else:
-            slowdown, _utilization, ps_arg = self._span_speed_state()
-        steps_per = self.steps_per_event
-        total = self.job.total_steps
-        restart_until = self._restart_until
-        workers = self.workers
-        append_row = self.trace.step_records.append_row
-        schedule_at = sim.schedule_at
-        pop_next = sim.pop_next
-        peek_next = sim.peek_next
-        complete_chunk = self._complete_chunk
-
-        draw_params = self._draw_params
-        sample_chunk_raw = model.sample_chunk_raw
-        pops = 0
-        updates = 0
-        finished = False
-        now = sim.now
-        while True:
-            worker_id = top.label[:-6]
-            worker = workers[worker_id]
-            pop_next()
-            steps = info[1]
-            now = top.time
-            # --- completion (mirrors _complete_chunk) ---
-            worker.steps_done += steps
-            self._cluster_steps += steps
-            cluster = self._cluster_steps
-            updates += steps
-            pops += 1
-            append_row(worker_id, info[2], now, steps, cluster,
-                       worker.steps_done)
-            if cluster >= total:
-                del inflight[worker_id]
-                finished = True
-                break
-            checkpoint_delay = 0.0
-            if worker.is_chief and cluster >= self._next_checkpoint_step:
-                checkpoint_delay = self._perform_checkpoint(worker, now=now)
-            # --- next chunk (mirrors _schedule_chunk/_chunk_duration) ---
-            if worker.steps_done >= WARMUP_STEPS:
-                gpu = worker.gpu_name
-                params = draw_params.get(gpu)
-                if params is None:
-                    params = draw_params[gpu] = model.chunk_draw_params(
-                        gflops, gpu, ps_utilization=ps_arg, slowdown=slowdown)
-                floor = params[2]
-                duration = 0.0
-                for value in sample_chunk_raw(params, steps_per).tolist():
-                    # Inline max(floor, value): same float as np.maximum.
-                    duration += value if value > floor else floor
-            else:
-                samples = model.sample_steps(
-                    gflops, worker.gpu_name, steps_per,
-                    start_step_index=worker.steps_done,
-                    ps_utilization=ps_arg, slowdown=slowdown)
-                duration = 0.0
-                for value in samples.tolist():
-                    duration += value
-            delay = checkpoint_delay + duration
-            if now + checkpoint_delay < restart_until:
-                delay += restart_until - (now + checkpoint_delay)
-            start_time = now + delay - duration
-
-            def complete(_sim: Simulator, worker=worker, steps=steps_per,
-                         start_time=start_time) -> None:
-                complete_chunk(worker, steps, start_time)
-
-            event = schedule_at(now + delay, complete,
-                                label=f"{worker_id}:chunk", owner=self)
-            inflight[worker_id] = (event, steps_per, start_time)
-            if pops >= budget:
-                break
-            top = peek_next()
-            # The span ends at the first event that is not a live in-flight
-            # chunk of this session: foreign, or a stale own chunk of a
-            # re-started session.  Cache it as the new disturbance horizon
-            # — the epoch snapshot happens after this span's insertions, so
-            # the cached verdict is consistent.
-            if (top is None or top.owner is not self
-                    or (info := inflight.get(top.label[:-6])) is None
-                    or info[0] is not top):
-                if use_horizon and top is not None:
-                    self._ff_blocker = top
-                    self._ff_own_epoch = self._insertion_cell[0]
-                break
-
-        if pops:
-            self.ps_group.record_updates(updates)
-            self.fast_forward_chunks += pops
-            self.fast_forward_spans += 1
-        if finished:
-            # Remaining in-flight chunks stay scheduled and are cancelled
-            # by _finish, exactly like on the chunked path; their RNG draws
-            # were already consumed at scheduling time on both paths.
-            sim.advance_to(now)
-            self._finish()
-        return pops
-
-    def _drain_span(self, budget) -> int:
-        """Bulk replay when every pending event is one of this session's
-        own chunks (no foreign event anywhere — the single-session hot
-        path of ``BENCH_core``).
-
-        The chunk events are lifted into a local tuple heap (sequence
-        numbers for successors are pre-claimed so any chunk re-materialized
-        at a span boundary keeps the exact (time, sequence) ordering plain
-        execution would have produced), rows are staged and bulk-appended
-        in segments, and — when every worker is past warm-up with one
-        shared step-time distribution — whole segments of durations come
-        from single RNG calls (block mode).
+        Chunk completions are the only events a session owns (their labels
+        are ``"<worker>:chunk"``), so the ownership tag plus an identity
+        check against the worker's in-flight entry decide it in O(1).  An
+        owned event that is *not* the worker's current in-flight chunk (a
+        stale chunk of a re-started session) counts as foreign: it fires
+        through the heap.
         """
-        sim = self.simulator
-        heap: List[Tuple[float, int, str]] = []
-        meta: Dict[str, Tuple[int, float]] = {}
-        while True:
-            event = sim.pop_next()
-            if event is None:
-                break
-            worker_id = event.label[:-6]  # strip ":chunk"
-            heap.append((event.time, event.sequence, worker_id))
-            info = self._inflight[worker_id]
-            meta[worker_id] = (info[1], info[2])
-        self._inflight.clear()
-        # Popped in heap order, so the list is already a valid min-heap.
-
-        # Span-constant quantities (membership cannot change mid-span).
-        model = self.step_time_model
-        gflops = self.job.profile.gflops
-        slowdown, _utilization, ps_arg = self._span_speed_state()
-        steps_per = self.steps_per_event
-        total = self.job.total_steps
-        restart_until = self._restart_until
-
-        # Block mode: the number of chunk completions left is fixed (each
-        # adds exactly steps_per steps), so when every worker is past
-        # warm-up and draws from the same step-time distribution, all
-        # remaining durations can come from the same RNG stream run.
-        # Which worker consumes each draw is decided by the replay, but
-        # with identical per-draw distributions the values are identical
-        # either way.
-        def all_past_warmup() -> bool:
-            return all(self.workers[w].steps_done + meta[w][0] >= WARMUP_STEPS
-                       for w in meta)
-
-        block_mode = False
-        block_remaining = 0
-        block_gpu = ""
-        block_sums: List[float] = []
-        block_index = 0
-        upgrade_when_warm = False
-        distributions = {(model.mean_step_time(gflops, self.workers[w].gpu_name),
-                          model.noise_cov(self.workers[w].gpu_name))
-                         for w in meta}
-        if len(distributions) == 1:
-            if not all_past_warmup():
-                # Replay chunk-by-chunk until warm-up ends, then return so
-                # the next span can take the block draw.
-                upgrade_when_warm = True
-            else:
-                pops_left = -(-(total - self._cluster_steps) // steps_per)
-                # The block draws commit to the whole remaining workload's
-                # RNG consumption, so they are only taken when the pop
-                # budget cannot cut the span short.  The draws happen
-                # lazily in FASTFORWARD_SEGMENT_CHUNKS pieces to bound peak
-                # memory; segmented normal fills consume the bit stream
-                # exactly like one big fill, so the durations are
-                # unchanged.
-                if pops_left >= 2 and pops_left <= budget:
-                    block_mode = True
-                    block_remaining = pops_left - 1
-                    block_gpu = self.workers[next(iter(meta))].gpu_name
-
-        rec_workers: List[str] = []
-        rec_starts: List[float] = []
-        rec_ends: List[float] = []
-        rec_steps: List[int] = []
-        rec_clusters: List[int] = []
-        rec_worker_steps: List[int] = []
-
-        def flush_rows() -> None:
-            # Staged rows land in the trace in segments so a long block
-            # span never holds the whole workload's rows in Python lists.
-            self.trace.step_records.extend_rows(
-                rec_workers, rec_starts, rec_ends, rec_steps, rec_clusters,
-                rec_worker_steps)
-            del rec_workers[:], rec_starts[:], rec_ends[:]
-            del rec_steps[:], rec_clusters[:], rec_worker_steps[:]
-
-        pops = 0
-        updates = 0
-        finished = False
-        now = sim.now
-        while heap:
-            if pops >= budget:
-                break
-            time, sequence, worker_id = heapq.heappop(heap)
-            worker = self.workers[worker_id]
-            steps, start_time = meta.pop(worker_id)
-            now = time
-            # --- completion (mirrors _complete_chunk) ---
-            worker.steps_done += steps
-            self._cluster_steps += steps
-            cluster = self._cluster_steps
-            updates += steps
-            pops += 1
-            rec_workers.append(worker_id)
-            rec_starts.append(start_time)
-            rec_ends.append(time)
-            rec_steps.append(steps)
-            rec_clusters.append(cluster)
-            rec_worker_steps.append(worker.steps_done)
-            if len(rec_workers) >= FASTFORWARD_SEGMENT_CHUNKS:
-                flush_rows()
-            if cluster >= total:
-                finished = True
-                break
-            checkpoint_delay = 0.0
-            if worker.is_chief and cluster >= self._next_checkpoint_step:
-                checkpoint_delay = self._perform_checkpoint(worker, now=now)
-            # --- next chunk (mirrors _schedule_chunk/_chunk_duration) ---
-            if block_mode:
-                if block_index == len(block_sums):
-                    segment = min(FASTFORWARD_SEGMENT_CHUNKS, block_remaining)
-                    block_sums = _chunk_sums(model, gflops, block_gpu,
-                                             segment, steps_per, ps_arg,
-                                             slowdown)
-                    block_index = 0
-                    block_remaining -= segment
-                duration = block_sums[block_index]
-                block_index += 1
-            else:
-                samples = model.sample_steps(
-                    gflops, worker.gpu_name, steps_per,
-                    start_step_index=worker.steps_done,
-                    ps_utilization=ps_arg, slowdown=slowdown)
-                duration = 0.0
-                for value in samples.tolist():
-                    duration += value
-            delay = checkpoint_delay + duration
-            if now + checkpoint_delay < restart_until:
-                delay += restart_until - (now + checkpoint_delay)
-            heapq.heappush(heap, (now + delay, sim.claim_sequence(), worker_id))
-            meta[worker_id] = (steps_per, now + delay - duration)
-            if upgrade_when_warm and all_past_warmup():
-                break
-
-        if pops:
-            if rec_workers:
-                flush_rows()
-            self.ps_group.record_updates(updates)
-            self.fast_forward_chunks += pops
-            self.fast_forward_spans += 1
-        if finished:
-            # Remaining in-flight chunks are dropped exactly as _finish
-            # cancels them on the chunked path; their RNG draws were
-            # already consumed at scheduling time on both paths.
-            sim.advance_to(now)
-            self._finish()
-            return pops
-        for time, sequence, worker_id in heap:
-            steps, start_time = meta[worker_id]
-            self._requeue(time, sequence, self.workers[worker_id], steps,
-                          start_time)
-        return pops
+        if event is None or event.owner is not self:
+            return False
+        info = self._inflight.get(event.label[:-6])
+        return info is not None and info[0] is event
 
     def _requeue(self, time: float, sequence: int, worker: WorkerState,
                  steps: int, start_time: float) -> None:
@@ -904,36 +566,42 @@ class TrainingSession:
                                            sequence=sequence, owner=self)
         self._inflight[worker.worker_id] = (event, steps, start_time)
 
-    def _window_span(self, budget, horizon: Tuple[float, float]) -> int:
-        """Replay this session's chunks due before its next control event.
+    def _window_span(self, budget, horizon: Optional[Tuple[float, float]],
+                     top: Event) -> int:
+        """Replay this session's chunks due before ``horizon``.
 
-        A fleet's heap interleaves every job's chunks, so the heap-top
-        bound of the fused span ends almost every span after one chunk.
-        Other sessions' chunks cannot touch this one, though: only its
-        control events can (:meth:`schedule_control`).  The window
-        therefore lifts every in-flight chunk due before ``horizon`` off
-        the shared heap and replays them, and the successors they
-        schedule, in exact ``(time, sequence)`` order on a local heap —
-        the per-process lookahead of conservative parallel simulation.
-        Successors claim their sequence numbers as they are scheduled, so
-        a chunk tied with the control event on time still orders by
-        sequence exactly as on the heap; survivors go back to the shared
-        heap with the sequence numbers they claimed.
+        This is the session's one replay loop.  Other sessions' chunks
+        cannot touch this one: only its control events can
+        (:meth:`schedule_control`).  The window therefore lifts every
+        in-flight chunk due before ``horizon`` off the shared heap and
+        replays them, and the successors they schedule, in exact
+        ``(time, sequence)`` order on a local heap — the per-process
+        lookahead of conservative parallel simulation.  With no
+        ``horizon`` it pops this session's chunks off the heap top,
+        starting with ``top``, and takes the first other event's
+        ``(time, sequence)`` as the horizon — ``(inf, inf)`` when nothing
+        else is pending — so the window ends exactly where event-by-event
+        execution would hand over.  Successors claim their sequence
+        numbers as they are scheduled, so a chunk tied with the horizon on
+        time still orders by sequence exactly as on the heap; a successor
+        due after the horizon goes straight to the shared heap with the
+        number it claimed, as do the chunks left when the pop budget runs
+        out.
 
         The chunk that finishes the workload is replayed only when it is
         the heap top, since finishing releases pool slots to other jobs;
         otherwise the window ends in front of it.
 
-        When every replaying worker is past warm-up on one step-time
-        distribution and the checkpoint model draws from another
-        generator, successor durations come from vectorized segments
-        drawn ahead, sized a little short of the draws due before the
-        horizon so they are normally used up (the last few chunks draw
-        one by one).  A window that stops inside a segment rewinds the
-        generator to its state before that segment and advances it by
-        exactly the draws used: normal fills consume the bit stream
-        sequentially, so the stream ends where per-chunk draws would have
-        left it.
+        When at least ``_SHORT_WINDOW_CHUNKS`` draws are due before the
+        horizon at the mean pace, every replaying worker is past warm-up on
+        one step-time distribution and the checkpoint model draws from
+        another generator, successor durations come from vectorized
+        segments drawn ahead, sized a little short of those draws so they
+        are normally used up (the last few chunks draw one by one).  A
+        window that stops inside a segment rewinds the generator to its
+        state before that segment and advances it by exactly the draws
+        used: normal fills consume the bit stream sequentially, so the
+        stream ends where per-chunk draws would have left it.
         """
         sim = self.simulator
         inflight = self._inflight
@@ -941,14 +609,28 @@ class TrainingSession:
         # Entries are (time, sequence, worker, steps, start time); unique
         # sequence numbers keep comparisons off the worker objects.
         heap = []
-        for worker_id, (event, steps, start_time) in inflight.items():
-            if (event.time, event.sequence) < horizon:
-                heap.append((event.time, event.sequence, workers[worker_id],
+        if horizon is None:
+            pop_next, peek_next = sim.pop_next, sim.peek_next
+            while True:
+                pop_next()
+                worker_id = top.label[:-6]
+                _event, steps, start_time = inflight.pop(worker_id)
+                heap.append((top.time, top.sequence, workers[worker_id],
                              steps, start_time))
-                event.cancel()
-        for entry in heap:
-            del inflight[entry[2].worker_id]
-        heapq.heapify(heap)
+                top = peek_next()
+                if not self._is_live_chunk(top):
+                    break
+            # Lifted in heap order, so the list is already a min-heap.
+            horizon = _UNBOUNDED if top is None else (top.time, top.sequence)
+        else:
+            for worker_id, (event, steps, start_time) in inflight.items():
+                if (event.time, event.sequence) < horizon:
+                    heap.append((event.time, event.sequence,
+                                 workers[worker_id], steps, start_time))
+                    event.cancel()
+            for entry in heap:
+                del inflight[entry[2].worker_id]
+            heapq.heapify(heap)
 
         model = self.step_time_model
         gflops = self.job.profile.gflops
@@ -958,49 +640,29 @@ class TrainingSession:
         restart_until = self._restart_until
         draw_params = self._draw_params
         sample_chunk_raw = model.sample_chunk_raw
-        peek_next = sim.peek_next
         claim_sequence = sim.claim_sequence
+        extend_rows = self.trace.step_records.extend_rows
         heappop, heappush = heapq.heappop, heapq.heappush
 
-        # Segmented draws need one distribution and a private generator;
-        # a window that starts in warm-up switches to them once every
-        # replaying worker's next draw is past it.
-        block_gpu = warming_gpu = None
-        if self.checkpoint_time_model.generator is not model.generator:
-            gpus = {entry[2].gpu_name for entry in heap}
-            if len({(model.mean_step_time(gflops, gpu), model.noise_cov(gpu))
-                    for gpu in gpus}) == 1:
-                warming_gpu = next(iter(gpus))
-                chunk_mean = (steps_per * max(1.0, slowdown)
-                              * model.mean_step_time(gflops, warming_gpu))
+        # Segments are sized each time one is used up (every chunk while a
+        # replaying worker is still in warm-up), until a size comes out
+        # short: the draws left before the horizon shrink with every
+        # replayed chunk, so it would stay short.
+        sizing = True
+        block_gpu = segment_state = None
         sums: List[float] = []
         used = count = 0
-        segment_state = None
 
         rows: List[Tuple[str, float, float, int, int, int]] = []
         flush_at = FASTFORWARD_SEGMENT_CHUNKS
-
-        def flush_rows() -> None:
-            self.trace.step_records.extend_rows(*zip(*rows))
-            rows.clear()
-
         pops = 0
         finished = False
         cluster_start = cluster = self._cluster_steps
         time = sim.now
         while heap and pops < budget:
-            if warming_gpu is not None and all(
-                    entry[2].steps_done + entry[3] >= WARMUP_STEPS
-                    for entry in heap):
-                block_gpu, warming_gpu = warming_gpu, None
-            # (time, sequence, ...) > (horizon time, horizon sequence)
-            # exactly when the chunk does not precede the control event:
-            # sequence numbers are unique, so the pair never ties.
             entry = heap[0]
-            if entry > horizon:
-                break
             if cluster + entry[3] >= total:
-                top = peek_next()
+                top = sim.peek_next()
                 if top is not None and (top.time, top.sequence) < entry[:2]:
                     break
             time, _sequence, worker, steps, start_time = heappop(heap)
@@ -1011,7 +673,8 @@ class TrainingSession:
             rows.append((worker.worker_id, start_time, time, steps, cluster,
                          worker.steps_done))
             if pops == flush_at:
-                flush_rows()
+                extend_rows(*zip(*rows))
+                rows.clear()
                 flush_at += FASTFORWARD_SEGMENT_CHUNKS
             if cluster >= total:
                 finished = True
@@ -1021,23 +684,45 @@ class TrainingSession:
                 self._cluster_steps = cluster
                 checkpoint_delay = self._perform_checkpoint(worker, now=time)
             # --- next chunk (mirrors _schedule_chunk/_chunk_duration) ---
-            if used == count and block_gpu is not None:
+            if used == count and sizing:
                 # A segment one chunk per worker short of the draws due
-                # before the horizon at the mean pace, so it is normally
-                # used up; the last few chunks draw one by one.
-                used = 0
-                count = min(FASTFORWARD_SEGMENT_CHUNKS,
-                            -(-(total - cluster) // steps_per))
-                ahead = (horizon[0] - time + sum(horizon[0] - entry[0]
-                                                 for entry in heap)) / chunk_mean
-                if ahead - len(heap) - 1 < count:
-                    count = max(0, int(ahead) - len(heap) - 1)
-                if count > 1:
-                    segment_state = model.generator.bit_generator.state
-                    sums = _chunk_sums(model, gflops, block_gpu, count,
-                                       steps_per, ps_arg, slowdown)
-                else:
-                    count = 0
+                # before the horizon at the mean pace.  No worker's next
+                # chunk is due before ``time``, so ``span * lead`` bounds
+                # those draws without the sum.
+                used = count = 0
+                lead = len(heap) + 1
+                span = horizon[0] - time
+                chunk_mean = (steps_per * max(1.0, slowdown)
+                              * model.mean_step_time(gflops, worker.gpu_name))
+                if span * lead < (_SHORT_WINDOW_CHUNKS + lead) * chunk_mean:
+                    sizing = False
+                elif worker.steps_done >= WARMUP_STEPS and all(
+                        entry[2].steps_done + entry[3] >= WARMUP_STEPS
+                        for entry in heap):
+                    size = min(FASTFORWARD_SEGMENT_CHUNKS,
+                               -(-(total - cluster) // steps_per))
+                    ahead = (span + sum(horizon[0] - entry[0]
+                                        for entry in heap)) / chunk_mean
+                    if ahead - lead < size:
+                        size = int(ahead) - lead
+                    # A checkpoint model on the step-time generator
+                    # interleaves its draws with the chunks', so that
+                    # session never draws ahead.
+                    if (size < _SHORT_WINDOW_CHUNKS
+                            or self.checkpoint_time_model.generator
+                            is model.generator
+                            or len({(model.mean_step_time(gflops, gpu),
+                                     model.noise_cov(gpu))
+                                    for gpu in {entry[2].gpu_name
+                                                for entry in heap}
+                                    | {worker.gpu_name}}) > 1):
+                        sizing = False
+                    else:
+                        count = size
+                        block_gpu = worker.gpu_name
+                        segment_state = model.generator.bit_generator.state
+                        sums = _chunk_sums(model, gflops, block_gpu, count,
+                                           steps_per, ps_arg, slowdown)
             if used < count:
                 duration = sums[used]
                 used += 1
@@ -1050,6 +735,7 @@ class TrainingSession:
                 floor = params[2]
                 duration = 0.0
                 for value in sample_chunk_raw(params, steps_per).tolist():
+                    # Inline max(floor, value): same float as np.maximum.
                     duration += value if value > floor else floor
             else:
                 duration = 0.0
@@ -1061,8 +747,12 @@ class TrainingSession:
             delay = checkpoint_delay + duration
             if time + checkpoint_delay < restart_until:
                 delay += restart_until - (time + checkpoint_delay)
-            heappush(heap, (time + delay, claim_sequence(), worker, steps_per,
-                            time + delay - duration))
+            successor = (time + delay, claim_sequence(), worker, steps_per,
+                         time + delay - duration)
+            if successor < horizon:
+                heappush(heap, successor)
+            else:
+                self._requeue(*successor)
 
         self._cluster_steps = cluster
         if used < count:
@@ -1072,12 +762,20 @@ class TrainingSession:
                 gflops, block_gpu, ps_utilization=ps_arg, slowdown=slowdown),
                 used * steps_per)
         if pops:
-            if rows:
-                flush_rows()
+            if len(rows) < _SHORT_WINDOW_CHUNKS:
+                append_row = self.trace.step_records.append_row
+                for row in rows:
+                    append_row(*row)
+            else:
+                extend_rows(*zip(*rows))
             self.ps_group.record_updates(cluster - cluster_start)
             self.fast_forward_chunks += pops
             self.fast_forward_spans += 1
         if finished:
+            # Chunks still in flight are dropped here (the local heap) or
+            # cancelled by _finish (the shared heap), as the chunked path
+            # cancels them; their RNG draws were already consumed at
+            # scheduling time on both paths.
             sim.advance_to(time)
             self._finish()
             return pops
@@ -1189,19 +887,17 @@ class TrainingSession:
 
         ``top``, when given, must be the caller's fresh ``peek_next()``
         result, so the heap is not peeked a second time.  ``horizon``
-        (with ``top``) turns the span into a replay window bounded by the
-        session's next control event (:meth:`control_horizon`) instead of
-        the heap top; see :meth:`_fast_forward`.
+        bounds the replay window by the session's next control event
+        (:meth:`control_horizon`) instead of the first other event on the
+        heap; see :meth:`_fast_forward`.
 
         :mod:`repro.scenarios` runs many sessions on one simulator; each
-        session can only replay spans while the next event due is one of its
+        session can only replay while the next event due is one of its
         *own* chunk completions, so a driver either maps the heap top to its
         owning session via the event ownership tags (the fleet's wake-set
         loop) or simply offers sessions a turn.  Returns the number of chunk
         completions replayed (0 when the next event is foreign, the session
-        is finished, or fast-forward is disabled).  Declined offers are
-        cached against the blocking foreign event, so repeated offers to an
-        undisturbed session cost no heap peeks.
+        is finished, or fast-forward is disabled).
         """
         return self._fast_forward(max_pops, top=top, horizon=horizon)
 

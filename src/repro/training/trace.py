@@ -266,13 +266,6 @@ class StepRecordArray(TraceSink, Sequence):
             raise DataError("extend_rows requires equally sized columns")
         if n == 0:
             return
-        if n <= 4:
-            # Scalar writes beat six numpy slice assignments for the tiny
-            # bulks the fleet's short fast-forward spans produce.
-            for j in range(n):
-                self.append_row(worker_ids[j], start_times[j], end_times[j],
-                                steps[j], cluster_steps[j], worker_steps[j])
-            return
         self._reserve(n)
         i = self._size
         index_of = self._name_index
@@ -280,7 +273,9 @@ class StepRecordArray(TraceSink, Sequence):
             indices = [index_of[worker_id] for worker_id in worker_ids]
         except KeyError:
             # A worker's first rows: intern in first-appearance order.
-            indices = [self._intern(worker_id) for worker_id in worker_ids]
+            for worker_id in dict.fromkeys(worker_ids):
+                self._intern(worker_id)
+            indices = [index_of[worker_id] for worker_id in worker_ids]
         self._widx[i:i + n] = indices
         self._start[i:i + n] = start_times
         self._end[i:i + n] = end_times

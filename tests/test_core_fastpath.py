@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.measurement.speed_campaign import run_speed_campaign
+from repro.perf.checkpoint_time import CheckpointTimeModel
 from repro.perf.step_time import StepTimeModel
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import RandomStreams
@@ -23,14 +24,21 @@ from repro.training.session import TrainingSession
 
 
 def _run_session(profile, fast_forward, cluster=None, steps=2000, interval=500,
-                 seed=7, steps_per_event=10, inject=None):
+                 seed=7, steps_per_event=10, inject=None,
+                 shared_generator=False):
     cluster = cluster if cluster is not None else ClusterSpec.single("k80")
     job = TrainingJob(profile=profile, total_steps=steps,
                       checkpoint_interval_steps=interval)
     streams = RandomStreams(seed)
+    models = {}
+    if shared_generator:
+        # Step and checkpoint durations interleave on one stream.
+        rng = streams.get("step_time")
+        models = dict(step_time_model=StepTimeModel(rng=rng),
+                      checkpoint_time_model=CheckpointTimeModel(rng=rng))
     session = TrainingSession(Simulator(), cluster, job, streams=streams,
                               steps_per_event=steps_per_event,
-                              fast_forward=fast_forward)
+                              fast_forward=fast_forward, **models)
     if inject is not None:
         inject(session)
     trace = session.run_to_completion()
@@ -74,8 +82,17 @@ def test_single_worker_with_checkpoints_bit_identical(resnet32_profile):
 def test_homogeneous_cluster_block_mode_bit_identical(resnet15_profile):
     session = _assert_bit_identical(
         resnet15_profile, cluster=ClusterSpec.from_counts(k80=8), steps=8000)
-    # Warm-up span + one block span covering the rest of the workload.
-    assert session.fast_forward_spans <= 3
+    # Nothing else is pending: one window replays the warm-up and then the
+    # rest of the workload from vectorized segments.
+    assert session.fast_forward_spans == 1
+
+
+def test_shared_step_and_checkpoint_generator_bit_identical(resnet15_profile):
+    """Checkpoint draws interleave with step draws on one generator, so
+    step durations must not be drawn ahead of a checkpoint."""
+    _assert_bit_identical(
+        resnet15_profile, cluster=ClusterSpec.from_counts(k80=4), steps=8000,
+        interval=500, shared_generator=True)
 
 
 def test_heterogeneous_cluster_bit_identical(resnet32_profile):

@@ -220,22 +220,16 @@ def test_cancel_after_fire_keeps_accounting_consistent():
 
 
 # ---------------------------------------------------------------------------
-# Fleet-scale hooks (PR 4): ownership tags, insertion epochs, pop_next.
+# Fleet-scale hooks (PR 4): ownership tags, pop_next.
 # ---------------------------------------------------------------------------
-def test_event_ownership_and_insertion_epochs():
+def test_event_ownership_tags():
     sim = Simulator()
     owner_a, owner_b = object(), object()
-    assert sim.owner_insertions(owner_a) == 0
-    cell = sim.owner_insertion_cell(owner_a)
-    assert cell == [0]
     event = sim.schedule(1.0, lambda s: None, owner=owner_a)
     assert event.owner is owner_a
     sim.schedule(2.0, lambda s: None, owner=owner_a)
     sim.schedule(3.0, lambda s: None, owner=owner_b)
     sim.schedule(4.0, lambda s: None)  # untagged
-    assert sim.owner_insertions(owner_a) == 2
-    assert cell[0] == 2  # the live cell tracks the same counter
-    assert sim.owner_insertions(owner_b) == 1
     assert sim.peek_next().owner is owner_a
 
 
