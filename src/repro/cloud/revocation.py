@@ -288,9 +288,12 @@ class RevocationModel:
 
         # One array draw == the old per-candidate scalar draws (numpy fills
         # uniform arrays element-wise from the same bit stream).  The
-        # inverse-CDF transform stays scalar on purpose: numpy's SIMD array
-        # log/pow kernels differ from the scalar ones by an ulp, and the
-        # sampled lifetimes are pinned bit-for-bit against the scalar loop.
+        # inverse-CDF power must stay scalar: numpy's SIMD power kernel can
+        # round differently from the C pow behind a scalar ``**`` (about 4%
+        # of values on an AVX-512 host), and the sampled lifetimes are
+        # pinned bit for bit against the scalar loop.  The log need not:
+        # scalar and array ``np.log`` share one kernel, which is how
+        # ScoreTable._build_option takes it.
         uniforms = self._rng.uniform(0.0, cap_quantile, size=self._candidates)
         candidates = [float(scale * (-np.log(1.0 - u)) ** inv_shape)
                       for u in uniforms.tolist()]

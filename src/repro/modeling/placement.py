@@ -11,8 +11,9 @@ The design separates the two halves of every placement decision:
   of each ``(gpu, region, launch hour)`` cell.  Expensive (Monte-Carlo
   against :class:`~repro.cloud.revocation.RevocationModel`), but pure: it
   depends only on the calibration, the advisor seed, and the sample count.
-  :class:`ScoreTable` precomputes it for every cell at once and caches it
-  forever — score tables survive arbitrary pool churn.
+  :class:`ScoreTable` builds it per cell on first use (or all at once in
+  :meth:`ScoreTable.warm`) and keeps it for the life of its calibration —
+  score tables survive arbitrary pool churn.
 * **Pool-state reads** — live availability and queue pressure.  Cheap
   (O(cells) counter reads through a versioned
   :class:`~repro.scenarios.pool.PoolSnapshot`), but volatile: any pool
@@ -37,10 +38,16 @@ every duration: each option replays the exact RNG tape of the legacy
 per-option sampler (one stable generator per option, seeded from the
 advisor seed and a CRC digest of the option, consuming the underlying
 bit stream double-for-double — a block ``Generator.random`` draw yields
-the same doubles as the scalar ``uniform``/``choice`` calls it replaces).
-``tests/test_placement_api.py`` pins the equivalence against the scalar
-sampler (kept as a test-only oracle in ``tests/oracles.py``) across the
-full calibration grid, and the adaptive-placement golden fixture in
+the same doubles as the scalar ``uniform``/``choice`` calls it replaces)
+and applies the sampler's arithmetic to a whole option at once, with the
+Weibull power kept scalar (see :meth:`ScoreTable._build_option`).
+The contract is pinned at the **lifetime level**:
+``tests/test_placement_api.py`` compares every option's sorted lifetime
+vector byte for byte against the scalar sampler (kept as a test-only
+oracle in ``tests/oracles.py``) on the full calibration grid, on a
+recalibrated model, and at 10, 50 and 400 samples, so an ulp of drift in
+one lifetime fails even where no probe duration's score moves.  The
+adaptive-placement golden fixture in
 ``tests/test_fleet_golden_identity.py`` pins that fleets score exactly as
 they did under the sampler.
 """
@@ -48,7 +55,9 @@ they did under the sampler.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -75,13 +84,33 @@ DEFAULT_CANDIDATES = 8
 _DRAWS_PER_SAMPLE = DEFAULT_CANDIDATES + 2
 
 
+def _real(value: Any, field_name: str) -> float:
+    """``value`` as a float.  Any real number passes, numpy scalars
+    included (fleets pass simulator hours); a bool or a string does not.
+    Plain floats and ints skip the ``numbers.Real`` check: an ABC
+    ``isinstance`` is slow, and the service builds a query per request."""
+    if type(value) not in (float, int) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ConfigurationError(
+            f"{field_name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _finite_hour(hour: Any, field_name: str) -> float:
     """``hour`` as a float; NaN and infinities would wrap to hour 0."""
-    value = float(hour)
+    value = _real(hour, field_name)
     if not math.isfinite(value):
         raise ConfigurationError(
             f"{field_name} must be finite, got {hour!r}")
     return value
+
+
+def _items(value: Any, field_name: str) -> Tuple[Any, ...]:
+    """``value`` as a tuple; a bare string would split into characters."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ConfigurationError(
+            f"{field_name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -122,27 +151,42 @@ class PlacementQuery:
     queue_weight: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0 < self.duration_hours < math.inf:
+        if not isinstance(self.gpu_name, str):
+            raise ConfigurationError(
+                f"gpu_name must be a string, got {self.gpu_name!r}")
+        duration = _real(self.duration_hours, "duration_hours")
+        if not 0 < duration < math.inf:
             raise ConfigurationError(
                 f"duration_hours must be positive and finite, got "
                 f"{self.duration_hours!r}")
+        if type(self.num_workers) is not int and (
+                isinstance(self.num_workers, bool)
+                or not isinstance(self.num_workers, numbers.Integral)):
+            raise ConfigurationError(
+                f"num_workers must be an integer, got {self.num_workers!r}")
         if self.num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1")
-        if self.queue_weight < 0:
+        queue_weight = _real(self.queue_weight, "queue_weight")
+        if queue_weight < 0:
             raise ConfigurationError("queue_weight must be non-negative")
         if (self.launch_hours is None) == (self.hour_of_day_utc is None):
             raise ConfigurationError(
                 "a placement query needs exactly one of launch_hours (grid "
                 "mode) or hour_of_day_utc (live mode)")
         if self.region_names is not None:
-            names = tuple(self.region_names)
+            names = _items(self.region_names, "region_names")
             if not names:
                 raise ConfigurationError(
                     "region_names must name at least one candidate region")
+            for name in names:
+                if not isinstance(name, str):
+                    raise ConfigurationError(
+                        f"region_names must hold strings, got {name!r}")
             object.__setattr__(self, "region_names", names)
         if self.launch_hours is not None:
             hours = tuple(hour_bin(_finite_hour(hour, "launch_hours"))
-                          for hour in self.launch_hours)
+                          for hour in _items(self.launch_hours,
+                                             "launch_hours"))
             if not hours:
                 raise ConfigurationError(
                     "launch_hours must name at least one candidate hour")
@@ -150,8 +194,9 @@ class PlacementQuery:
         else:
             object.__setattr__(self, "hour_of_day_utc", wrap_hour(
                 _finite_hour(self.hour_of_day_utc, "hour_of_day_utc")))
-        object.__setattr__(self, "duration_hours", float(self.duration_hours))
-        object.__setattr__(self, "queue_weight", float(self.queue_weight))
+        object.__setattr__(self, "duration_hours", duration)
+        object.__setattr__(self, "num_workers", int(self.num_workers))
+        object.__setattr__(self, "queue_weight", queue_weight)
 
     def to_params(self) -> Dict[str, Any]:
         """A JSON-encodable parameter dict (defaults omitted)."""
@@ -172,18 +217,20 @@ class PlacementQuery:
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "PlacementQuery":
         """Rebuild a query from :meth:`to_params` output (wire format)."""
+        if not isinstance(params, Mapping):
+            raise ConfigurationError(
+                f"a placement query must be an object, got {params!r}")
         known = {"gpu_name", "duration_hours", "num_workers", "region_names",
                  "launch_hours", "hour_of_day_utc", "queue_weight"}
         unknown = set(params) - known
         if unknown:
             raise ConfigurationError(
                 f"unknown placement-query fields: {sorted(unknown)}")
-        kwargs = dict(params)
-        if "region_names" in kwargs and kwargs["region_names"] is not None:
-            kwargs["region_names"] = tuple(kwargs["region_names"])
-        if "launch_hours" in kwargs and kwargs["launch_hours"] is not None:
-            kwargs["launch_hours"] = tuple(kwargs["launch_hours"])
-        return cls(**kwargs)
+        missing = {"gpu_name", "duration_hours"} - set(params)
+        if missing:
+            raise ConfigurationError(
+                f"missing placement-query fields: {sorted(missing)}")
+        return cls(**params)
 
 
 @dataclass(frozen=True)
@@ -323,13 +370,24 @@ class ScoreTable:
         (``seed * 9973 + crc32("place:<gpu>:<region>:<hour>")``) and
         consumed it through scalar ``uniform``/``choice`` calls.  Every one
         of those calls takes exactly one double from the underlying bit
-        stream, so a single block ``random()`` draw is the same tape; the
-        replay below applies the same arithmetic to the same doubles
-        (candidate transforms stay scalar on purpose — numpy's SIMD
-        log/pow kernels differ from the scalar ones by an ulp).  Revoked
-        samples consume ``DEFAULT_CANDIDATES + 2`` doubles, survivors one;
-        the block is sized for the worst case and the excess — drawn from
-        a generator that exists only for this option — is discarded.
+        stream, so a single block ``random()`` draw is the same tape.  A
+        survivor consumes one double; a revoked sample consumes
+        ``DEFAULT_CANDIDATES + 2`` (the revocation test, the candidates and
+        the ``choice`` draw).  The block is sized for the worst case and
+        the excess — drawn from a generator that exists only for this
+        option — is discarded.
+
+        Where each sample starts depends on every earlier outcome, so one
+        scalar scan of the tape finds the revoked samples; the rest runs on
+        the whole (revoked × candidates) matrix with the same arithmetic
+        on the same doubles.  One operation stays scalar on purpose: the
+        Weibull power.  numpy's SIMD ``power`` kernel can round differently
+        from the C ``pow`` behind a float ``**`` (about 4% of these values
+        on an AVX-512 host), so each power is a Python-float ``**``.  The
+        ``log`` may run on the matrix: a scalar ``np.log`` goes through the
+        same numpy kernel, so the bits match.  The remaining steps
+        (products, 8-wide row sums, row ``cumsum``, divisions and
+        comparisons) round exactly like their one-row forms.
         """
         params = self._model.params_for(gpu_name, region_name)
         shape, scale = params.weibull_shape, params.weibull_scale_hours
@@ -344,30 +402,34 @@ class ScoreTable:
         rng = np.random.default_rng(self.seed * 9973 + option_index)
         tape = rng.random(self.samples * _DRAWS_PER_SAMPLE)
         candidates = DEFAULT_CANDIDATES
+        draws = tape.tolist()
+        starts: List[int] = []
         position = 0
-        lifetimes: List[float] = []
         for _ in range(self.samples):
-            if tape[position] >= params.p_revoke_24h:
+            if draws[position] >= params.p_revoke_24h:
                 position += 1
-                continue
-            position += 1
-            uniforms = tape[position:position + candidates] * cap_quantile
-            times = [float(scale * (-np.log(1.0 - u)) ** inv_shape)
-                     for u in uniforms.tolist()]
-            candidate_weights = weights[hour_bins(
-                launch_hour + np.asarray(times))] + 1e-9
-            probabilities = candidate_weights / candidate_weights.sum()
-            # Generator.choice(n, p=...) == cumsum-normalize + one double +
-            # searchsorted; replayed verbatim so the chosen index matches.
-            cdf = probabilities.cumsum()
-            cdf /= cdf[-1]
-            chosen = int(cdf.searchsorted(tape[position + candidates],
-                                          side="right"))
-            if chosen >= candidates:  # pragma: no cover - u < 1 <= cdf[-1]
-                chosen = candidates - 1
-            lifetimes.append(times[chosen])
-            position += candidates + 1
-        return np.sort(np.asarray(lifetimes, dtype=np.float64))
+            else:
+                starts.append(position + 1)
+                position += _DRAWS_PER_SAMPLE
+        first = np.asarray(starts, dtype=np.intp)
+        uniforms = tape[first[:, None] + np.arange(candidates)] * cap_quantile
+        logs = np.log(1.0 - uniforms)
+        times = np.array([scale * (-x) ** inv_shape
+                          for x in logs.ravel().tolist()],
+                         dtype=np.float64).reshape(logs.shape)
+        candidate_weights = weights[hour_bins(launch_hour + times)] + 1e-9
+        probabilities = (candidate_weights
+                         / candidate_weights.sum(axis=1)[:, None])
+        # Generator.choice(n, p=...) == cumsum-normalize + one double +
+        # searchsorted(side="right"), which on a sorted row is the count
+        # of cdf entries <= the draw.
+        cdf = probabilities.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        chosen = (cdf <= tape[first + candidates][:, None]).sum(axis=1)
+        # Every draw is < 1.0 and every row ends at exactly 1.0, so the
+        # clamp never fires; it stays as a guard.
+        chosen = np.minimum(chosen, candidates - 1)
+        return np.sort(times[np.arange(first.size), chosen])
 
     def lifetimes(self, gpu_name: str, region_name: str,
                   launch_hour_local: int) -> np.ndarray:

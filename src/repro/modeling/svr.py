@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import DataError, ModelingError, NotFittedError
 from repro.modeling.kernels import linear_kernel, polynomial_kernel, rbf_kernel
@@ -96,6 +95,11 @@ class SVR:
     # ------------------------------------------------------------------
     def fit(self, features, targets) -> "SVR":
         """Fit the SVR by solving the dual quadratic program."""
+        # Imported here: fleet and serve processes load this module through
+        # repro.modeling but never fit, and importing scipy would more than
+        # double their start-up time and memory.
+        from scipy.optimize import minimize
+
         matrix = self._as_matrix(features)
         target = np.asarray(targets, dtype=float).ravel()
         if matrix.shape[0] != target.shape[0]:
@@ -131,9 +135,9 @@ class SVR:
         }]
         bounds = [(0.0, self.C)] * (2 * n)
         initial = np.zeros(2 * n)
-        result = optimize.minimize(objective, initial, jac=gradient, bounds=bounds,
-                                   constraints=constraints, method="SLSQP",
-                                   options={"maxiter": 500, "ftol": 1e-9})
+        result = minimize(objective, initial, jac=gradient, bounds=bounds,
+                          constraints=constraints, method="SLSQP",
+                          options={"maxiter": 500, "ftol": 1e-9})
         if not result.success and not np.isfinite(result.fun):
             raise ModelingError(f"SVR dual optimization failed: {result.message}")
         alpha, alpha_star = result.x[:n], result.x[n:]

@@ -15,7 +15,7 @@ diagnostic, not a traceback).  ``serve`` starts the JSON-lines TCP front
 end (see :mod:`repro.serve.transport` for the wire protocol and
 hardening knobs) and runs until interrupted; SIGTERM/SIGINT trigger a
 graceful drain — stop accepting, let in-flight requests finish for up to
-``--drain-seconds``, then exit.
+``--drain-seconds``, close every remaining connection, then exit.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from repro.serve.service import PlacementService
 from repro.serve.transport import (
     ServerConfig,
     TransportError,
+    drain,
     request_with_retry,
     serve_address,
-    server_state,
     start_server,
 )
 
@@ -122,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--drain-seconds", type=float, default=5.0,
                        help="graceful-drain window on SIGTERM/SIGINT: stop "
                             "accepting, wait this long for in-flight "
-                            "requests (default: 5)")
+                            "requests, then close every connection "
+                            "(default: 5)")
     _add_advisor_arguments(serve)
     return parser
 
@@ -194,13 +195,7 @@ async def _serve_forever(args: argparse.Namespace) -> int:
             pass  # platforms without loop signal handlers (e.g. Windows)
     try:
         await stop.wait()
-        # Graceful drain: stop accepting first, then give in-flight
-        # requests a bounded window to finish before tearing down.
-        server.close()
-        state = server_state(server)
-        deadline = loop.time() + max(0.0, args.drain_seconds)
-        while state.in_flight and loop.time() < deadline:
-            await asyncio.sleep(0.05)
+        state = await drain(server, args.drain_seconds)
         print(f"drained: {state.requests_seen} requests served, "
               f"{state.in_flight} still in flight at shutdown")
     except asyncio.CancelledError:  # pragma: no cover - shutdown path

@@ -84,7 +84,8 @@ class PlacementService:
         (samples, seed) on the refit revocation model, the
         decision cache epoch is bumped, and the cache is dropped — a
         decision scored under the old calibration must never answer a
-        post-recalibration query.
+        post-recalibration query.  The new advisor's score table starts
+        empty; answers refill it one option at a time.
 
         Returns:
             A summary: the new calibration epoch plus the refit cell and

@@ -52,7 +52,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro import chaos
 from repro.errors import ConfigurationError, ReproError
@@ -98,16 +98,18 @@ class ServerConfig:
 
 
 class ServerState:
-    """Live transport counters (one per started server).
+    """Live transport state (one per started server).
 
     ``connections`` and ``in_flight`` are the queue-depth numbers the
-    ``health`` op reports; the chaos monitors implement the
+    ``health`` op reports; the open connections' writers are kept so
+    :func:`drain` can close them.  The chaos monitors implement the
     ``serve_reset`` / ``serve_hang`` fault kinds when a plan is active.
     """
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self.connections = 0
+        #: Writers of the accepted connections whose handlers still run.
+        self.writers: Set[asyncio.StreamWriter] = set()
         self.in_flight = 0
         self.requests_seen = 0
         self.rejected_connections = 0
@@ -117,6 +119,11 @@ class ServerState:
                               if plan is not None else None)
         self.hang_monitor = (plan.monitor("serve_hang")
                              if plan is not None else None)
+
+    @property
+    def connections(self) -> int:
+        """Accepted connections whose handlers are still running."""
+        return len(self.writers)
 
     def health(self, service: PlacementService) -> Dict[str, Any]:
         document = service.health()
@@ -204,7 +211,7 @@ async def _handle_connection(service: PlacementService,
             pass
         writer.close()
         return
-    state.connections += 1
+    state.writers.add(writer)
     try:
         while True:
             line = await reader.readline()
@@ -246,12 +253,12 @@ async def _handle_connection(service: PlacementService,
             writer.write(json.dumps(response).encode("utf-8") + b"\n")
             await writer.drain()
     finally:
-        state.connections -= 1
-        # No ``wait_closed()`` here: the handler task itself is cancelled
-        # when the server shuts down, and awaiting the closing transport
-        # from inside the dying task just raises CancelledError into the
-        # event loop's exception handler.  ``close()`` is enough — the
-        # loop finishes the transport teardown on its own.
+        state.writers.discard(writer)
+        # No ``wait_closed()`` here: a handler still running when its loop
+        # shuts down is cancelled, and awaiting the closing transport from
+        # inside the dying task just raises CancelledError into the event
+        # loop's exception handler.  ``close()`` is enough — the loop
+        # finishes the transport teardown on its own.
         writer.close()
 
 
@@ -281,6 +288,38 @@ async def start_server(service: PlacementService, host: str = "127.0.0.1",
 def server_state(server: asyncio.AbstractServer) -> ServerState:
     """The :class:`ServerState` attached by :func:`start_server`."""
     return server.repro_state  # type: ignore[attr-defined]
+
+
+#: Seconds :func:`drain` waits for handlers to see EOF after it closes
+#: their connections.  An idle handler exits on its next loop turn; only
+#: one stuck in an await that EOF cannot wake (a ``serve_hang``) uses it.
+CLOSE_GRACE_SECONDS = 1.0
+
+
+async def drain(server: asyncio.AbstractServer, seconds: float) -> ServerState:
+    """Graceful shutdown: stop accepting, then close every connection.
+
+    In-flight requests get up to ``seconds`` to finish.  Then each open
+    connection is closed from the server side, so its handler's pending
+    read sees EOF and the handler exits through its normal path.  Left
+    open, an idle handler is cancelled mid-read when the loop shuts down
+    (a ``CancelledError`` traceback on Python 3.11), and from Python 3.12
+    on ``Server.wait_closed()`` waits for it forever.
+    Returns the server's :class:`ServerState`; ``in_flight`` then counts
+    the requests still unfinished.
+    """
+    server.close()
+    state = server_state(server)
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + max(0.0, seconds)
+    while state.in_flight and loop.time() < deadline:
+        await asyncio.sleep(0.05)
+    for writer in list(state.writers):
+        writer.close()
+    deadline = loop.time() + CLOSE_GRACE_SECONDS
+    while state.writers and loop.time() < deadline:
+        await asyncio.sleep(0.01)
+    return state
 
 
 async def request(host: str, port: int,

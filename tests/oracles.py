@@ -1,8 +1,9 @@
 """Test-only reference implementations the production code replaced.
 
-* :func:`sampled_probability` is the scalar Monte-Carlo sampler the
+* :func:`sampled_lifetimes` is the scalar Monte-Carlo sampler the
   vectorized :class:`~repro.modeling.placement.ScoreTable` replays
-  double-for-double; the table must match it exactly.
+  double-for-double; the table's lifetime vectors must match it byte for
+  byte, and :func:`sampled_probability` (its rank at one horizon) exactly.
 * :func:`roundrobin_advance` is the fleet loop the wake-set scheduler
   replaced: before every heap event it offers *every* unfinished session a
   fast-forward span.  Payloads must not depend on which loop drives them.
@@ -22,9 +23,9 @@ from repro.modeling.placement import ScoreTable
 from repro.scenarios.fleet import FleetRun
 
 
-def sampled_probability(table, gpu_name, region_name, hour, duration_hours):
-    """Fraction of ``table.samples`` fresh draws revoked within the horizon,
-    from the option's own generator (seeded like the table's tape)."""
+def sampled_lifetimes(table, gpu_name, region_name, hour):
+    """Sorted revoked lifetimes of ``table.samples`` fresh draws from the
+    option's own generator (seeded like the table's tape)."""
     option = zlib.crc32(f"place:{gpu_name}:{region_name}:{hour}".encode("utf-8"))
     model = RevocationModel(
         rng=np.random.default_rng(table.seed * 9973 + option),
@@ -32,9 +33,14 @@ def sampled_probability(table, gpu_name, region_name, hour, duration_hours):
         hourly_weights=table._model._hourly_weights)
     outcomes = model.sample_batch(gpu_name, region_name, table.samples,
                                   launch_hour_local=float(hour))
-    revoked = sum(1 for outcome in outcomes
-                  if outcome.revoked and outcome.lifetime_hours <= duration_hours)
-    return revoked / table.samples
+    return np.sort(np.array([outcome.lifetime_hours for outcome in outcomes
+                             if outcome.revoked], dtype=np.float64))
+
+
+def sampled_probability(table, gpu_name, region_name, hour, duration_hours):
+    """Fraction of ``table.samples`` fresh draws revoked within the horizon."""
+    lifetimes = sampled_lifetimes(table, gpu_name, region_name, hour)
+    return int((lifetimes <= duration_hours).sum()) / table.samples
 
 
 def sampled_probabilities(table, gpu_name, cells, duration_hours):

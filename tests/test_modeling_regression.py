@@ -1,5 +1,10 @@
 """Tests for linear regression, kernels, SVR, and model selection."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -94,6 +99,22 @@ def test_svr_validation_and_errors():
     model = SVR().fit([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
     with pytest.raises(DataError):
         model.predict([[0.0, 1.0]])
+
+
+def test_fleet_serve_and_telemetry_imports_leave_scipy_unloaded():
+    """Only ``SVR.fit`` needs scipy.  Fleet, serve and telemetry processes
+    import ``repro.modeling`` without fitting, so they must not load it."""
+    script = ("import sys\n"
+              "import repro.serve.cli, repro.scenarios.fleet, repro.telemetry\n"
+              "print(sorted(name for name in sys.modules\n"
+              "             if name.partition('.')[0] == 'scipy'))\n")
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_train_test_split_ratio_and_determinism():

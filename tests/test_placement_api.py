@@ -4,20 +4,28 @@ Pins the contracts the placement API rests on:
 
 * the vectorized score table is **bit-identical** to the scalar
   Monte-Carlo sampler it replays (the test-only oracle in
-  ``tests/oracles.py``) across the full calibration grid, for every
-  duration (the tape-replay equivalence);
+  ``tests/oracles.py``): every option's sorted lifetime vector matches
+  byte for byte — on the full calibration grid, on a recalibrated model,
+  and at small and large sample counts — so every duration's score does
+  too (the tape-replay equivalence);
 * :class:`~repro.modeling.placement.PlacementQuery` validates its two
   modes and round-trips through the wire format.
 """
 
+import json
+import math
+
+import numpy as np
 import pytest
 
-from oracles import sampled_probability, use_reference
+from oracles import sampled_lifetimes, sampled_probability, use_reference
+from repro.cloud.revocation import RevocationCellParams
 from repro.errors import ConfigurationError
 from repro.modeling.launch_advisor import LaunchAdvisor
 from repro.modeling.placement import PlacementQuery, ScoreTable
 from repro.scenarios.pool import TransientPool
 from repro.simulation.engine import Simulator
+from repro.telemetry.recalibrate import RecalibrationResult
 
 #: Small sample count so the exhaustive sampler sweeps stay fast; the
 #: equivalence holds sample for sample, so the count does not matter.
@@ -46,6 +54,46 @@ def test_table_scores_match_sampling_exactly_on_the_full_grid(seed):
                 assert (scorer.revocation_score(gpu, region, hour, duration)
                         == sampled_probability(table, gpu, region, hour,
                                                duration))
+
+
+def recalibrated_table():
+    """Refit cells (shapes on both sides of 1) and non-flat hourly
+    profiles, one with zero-weight hours, as ``recalibrate`` installs
+    them."""
+    result = RecalibrationResult(
+        calibration={("k80", "us-west1"): RevocationCellParams(0.62, 0.7, 5.5),
+                     ("p100", "us-east1"): RevocationCellParams(0.91, 2.6, 9.0),
+                     ("v100", "asia-east1"): RevocationCellParams(0.08, 1.1, 30.0)},
+        hourly_weights={
+            "k80": tuple(1.0 + 0.9 * math.cos(2 * math.pi * (hour - 14) / 24)
+                         for hour in range(24)),
+            "v100": tuple(0.0 if hour % 5 == 0 else 1.0 + hour / 12
+                          for hour in range(24))})
+    return result.advisor(samples_per_option=10, seed=3).score_table
+
+
+#: Score tables whose every lifetime is pinned: (builder, GPU or None = all).
+LIFETIME_TABLES = {
+    "grid-seed0": (lambda: ScoreTable(samples=SAMPLES, seed=0), None),
+    "grid-seed7": (lambda: ScoreTable(samples=SAMPLES, seed=7), None),
+    "recalibrated-samples10": (recalibrated_table, None),
+    "v100-samples400": (lambda: ScoreTable(samples=400, seed=1), "v100"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIFETIME_TABLES))
+def test_table_lifetimes_match_sampling_bytes(case):
+    """Every lifetime of every option, byte for byte: an ulp of drift in
+    one lifetime moves no probe-duration score above, but fails here."""
+    build, gpu_name = LIFETIME_TABLES[case]
+    table = build()
+    for gpu, region in table.available_cells():
+        if gpu_name not in (None, gpu):
+            continue
+        for hour in range(24):
+            assert (table.lifetimes(gpu, region, hour).tobytes()
+                    == sampled_lifetimes(table, gpu, region, hour).tobytes()), \
+                (gpu, region, hour)
 
 
 def test_answer_is_identical_across_backends_live_and_grid(monkeypatch):
@@ -139,6 +187,60 @@ def test_query_rejects_non_finite_launch_hours(value):
     with pytest.raises(ConfigurationError, match="launch_hours"):
         PlacementQuery(gpu_name="k80", duration_hours=1.0,
                        launch_hours=(8, value))
+
+
+LIVE = {"gpu_name": "k80", "duration_hours": 1.0, "hour_of_day_utc": 9.0}
+GRID = {"gpu_name": "k80", "duration_hours": 1.0, "launch_hours": [8]}
+
+
+@pytest.mark.parametrize("params,field", [
+    (dict(LIVE, gpu_name=["k80"]), "gpu_name"),
+    (dict(LIVE, gpu_name=None), "gpu_name"),
+    (dict(LIVE, duration_hours="4"), "duration_hours"),
+    (dict(LIVE, duration_hours=True), "duration_hours"),
+    (dict(LIVE, hour_of_day_utc=True), "hour_of_day_utc"),
+    (dict(LIVE, hour_of_day_utc="9"), "hour_of_day_utc"),
+    (dict(GRID, launch_hours=[True, 3]), "launch_hours"),
+    (dict(GRID, launch_hours=8), "launch_hours"),
+    (dict(GRID, launch_hours="8"), "launch_hours"),
+    (dict(LIVE, num_workers=2.5), "num_workers"),
+    (dict(LIVE, num_workers=True), "num_workers"),
+    (dict(LIVE, num_workers="2"), "num_workers"),
+    (dict(LIVE, region_names="us-west1"), "region_names"),
+    (dict(LIVE, region_names=["us-west1", 3]), "region_names"),
+    (dict(LIVE, region_names=7), "region_names"),
+    (dict(LIVE, queue_weight="0.5"), "queue_weight"),
+    (dict(LIVE, queue_weight=False), "queue_weight"),
+    ({"gpu_name": "k80", "hour_of_day_utc": 9.0}, "duration_hours"),
+])
+def test_query_rejects_mistyped_fields(params, field):
+    """Wrong-typed wire fields raise a ConfigurationError naming the
+    field, never a raw TypeError or a silent coercion (True -> hour 1,
+    a region string -> its characters)."""
+    with pytest.raises(ConfigurationError, match=field):
+        PlacementQuery.from_params(params)
+
+
+def test_query_rejects_a_non_object_document():
+    with pytest.raises(ConfigurationError, match="object"):
+        PlacementQuery.from_params([["gpu_name", "k80"]])
+
+
+def test_query_accepts_numpy_scalars():
+    """Fleets pass simulator hours; numpy scalars are numbers, and the
+    normalized query stays JSON-encodable."""
+    query = PlacementQuery(gpu_name=np.str_("k80"),
+                           duration_hours=np.float64(2.0),
+                           num_workers=np.int64(3),
+                           hour_of_day_utc=np.float64(9.5),
+                           queue_weight=np.float32(0.25))
+    assert query == PlacementQuery(gpu_name="k80", duration_hours=2.0,
+                                   num_workers=3, hour_of_day_utc=9.5,
+                                   queue_weight=0.25)
+    json.dumps(query.to_params())
+    grid = PlacementQuery(gpu_name="k80", duration_hours=1.0,
+                          launch_hours=np.arange(3))
+    assert grid.launch_hours == (0, 1, 2)
 
 
 def test_query_normalizes_hours():

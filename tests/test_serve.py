@@ -13,6 +13,12 @@ The serving invariants the ISSUE names:
 
 import asyncio
 import json
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +31,7 @@ from repro.serve.transport import (
     IDEMPOTENT_OPS,
     ServerConfig,
     TransportError,
+    drain,
     handle_request,
     request,
     request_with_retry,
@@ -227,6 +234,24 @@ def test_tcp_answers_bad_request_for_non_finite_query_fields():
         assert field in response["error"]
 
 
+def test_tcp_answers_bad_request_naming_a_mistyped_field():
+    async def scenario():
+        server = await start_server(make_service())
+        host, port = serve_address(server)
+        try:
+            return await request(host, port, [
+                {"op": "answer", "query": {"gpu_name": ["k80"],
+                                           "duration_hours": 1.0,
+                                           "hour_of_day_utc": 9.0}}])
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    response = asyncio.run(scenario())[0]
+    assert not response["ok"] and response["code"] == "bad_request"
+    assert "gpu_name" in response["error"]
+
+
 # ---------------------------------------------------------------------------
 # Hardening: health, timeouts, backpressure, retries (PR 9).
 # ---------------------------------------------------------------------------
@@ -336,6 +361,57 @@ def test_connection_cap_answers_overloaded_and_recovers():
     assert not rejected["ok"] and rejected["code"] == "overloaded"
     assert recovered["ok"]
     assert rejections == 1
+
+
+def test_drain_closes_idle_connections():
+    """After the drain window the server closes connections a client left
+    open: the client reads EOF, no handler is left, and wait_closed()
+    returns (it waits for open connections from Python 3.12 on)."""
+    async def scenario():
+        server = await start_server(make_service())
+        host, port = serve_address(server)
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(json.dumps({"op": "health"}).encode() + b"\n")
+        await writer.drain()
+        assert json.loads(await reader.readline())["ok"]
+        state = await drain(server, 0.5)
+        tail = await asyncio.wait_for(reader.read(), 5)
+        writer.close()
+        await asyncio.wait_for(server.wait_closed(), 5)
+        return state, tail
+
+    state, tail = asyncio.run(scenario())
+    assert tail == b""
+    assert state.connections == 0 and state.in_flight == 0
+    assert state.requests_seen == 1
+
+
+def test_sigterm_closes_idle_connections_and_exits_cleanly():
+    """SIGTERM while a client holds an idle connection: the drain closes
+    it, so the handler leaves through EOF instead of being cancelled
+    mid-read (a CancelledError traceback on 3.11, a hang from 3.12 on)."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "serve", "--port", "0",
+         "--no-warm"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        banner = server.stdout.readline()
+        host, _, port = banner.split()[4].rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=10) as client:
+            client.sendall(b'{"op": "health"}\n')
+            assert json.loads(client.makefile().readline())["ok"]
+            server.send_signal(signal.SIGTERM)
+            out, err = server.communicate(timeout=10)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.communicate()
+    assert server.returncode == 0
+    assert err == ""
+    assert "drained: 1 requests served" in out
 
 
 def test_injected_reset_raises_transport_error_without_retry(monkeypatch):
