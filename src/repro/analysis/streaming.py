@@ -32,9 +32,12 @@ Memory contract
 Peak held state is O(``block_rows``) per accumulator: the re-block
 buffer for moments, one sorted run for percentiles (full runs live on
 disk until :meth:`ExactPercentiles.percentile` merges them back in
-bounded slices), and a constant-size counts array for histograms.  The
-``BENCH_telemetry.json`` baseline pins this with tracemalloc: analysis
-peak stays flat as the fleet grows 10x.
+bounded slices), and a constant-size counts array for histograms.  A
+percentile accumulator makes its temporary directory at its first
+spill, so one that never fills a run (a short job's summary in a fleet
+report) never touches the disk.  The ``BENCH_telemetry.json`` baseline
+pins this with tracemalloc: analysis peak stays flat as the fleet grows
+10x.
 """
 
 from __future__ import annotations
@@ -199,10 +202,11 @@ class ExactPercentiles:
     (headerless, so re-opening a run costs one file handle and nothing
     else); :meth:`percentile` lazily k-way merges the runs, read in
     bounded slices, just far enough to pull the order statistics the
-    requested percentiles interpolate between.  The interpolation
-    replicates numpy's default ``linear`` method operation for
-    operation, so results are bit-identical to ``np.percentile`` over
-    the materialized stream.
+    requested percentiles interpolate between.  The directory is made
+    at the first spill, so a stream shorter than one run never touches
+    the disk.  The interpolation replicates numpy's default ``linear``
+    method operation for operation, so results are bit-identical to
+    ``np.percentile`` over the materialized stream.
     """
 
     def __init__(self, run_rows: int = DEFAULT_BLOCK_ROWS,
@@ -211,7 +215,7 @@ class ExactPercentiles:
             raise DataError("run_rows must be positive")
         self.run_rows = int(run_rows)
         self._own_dir = spool_dir is None
-        self._dir = spool_dir or tempfile.mkdtemp(prefix="repro-percentiles-")
+        self._dir = spool_dir
         self._runs: List[str] = []
         self._pending: List[np.ndarray] = []
         self._pending_rows = 0
@@ -233,6 +237,8 @@ class ExactPercentiles:
             self._pending_rows = int(remainder.size)
 
     def _spill(self, run: np.ndarray) -> None:
+        if self._dir is None:
+            self._dir = tempfile.mkdtemp(prefix="repro-percentiles-")
         path = os.path.join(self._dir, f"run{len(self._runs):06d}.bin")
         np.sort(run).astype("<f8").tofile(path)
         self._runs.append(path)
@@ -327,8 +333,9 @@ class ExactPercentiles:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Delete the spilled runs; the accumulator is dead afterwards."""
-        if self._own_dir and os.path.isdir(self._dir):
+        if self._own_dir and self._dir is not None:
             shutil.rmtree(self._dir, ignore_errors=True)
+            self._dir = None
         self._runs = []
         self._pending = []
         self._pending_rows = 0

@@ -25,8 +25,12 @@ Streaming-memory contract
 -------------------------
 Reading mirrors writing: analysis over an artifact is bounded by
 O(``chunk_rows``), never by the fleet size.  :class:`TelemetryReader`
-decodes one chunk at a time (``step_chunks`` / ``draw_chunks``), and
-every built-in consumer — :func:`repro.telemetry.report.fleet_report`,
+indexes the members once at open and decodes one chunk at a time
+(``step_chunks`` / ``draw_chunks``), each with one positioned read into
+its own buffer, so nothing is memory-mapped and every byte the analysis
+holds is visible to tracemalloc.  It keeps no per-job state beyond the
+index: a job's worker registry is read again on every request.
+Every built-in consumer — :func:`repro.telemetry.report.fleet_report`,
 :func:`repro.telemetry.diff.diff_artifacts`, and the draw/anchor pooling
 inside :func:`~repro.telemetry.recalibrate.recalibrate` — feeds those
 chunks through the :mod:`repro.analysis.streaming` accumulators (stable

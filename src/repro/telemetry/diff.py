@@ -252,15 +252,14 @@ def diff_artifacts(path_a: str, path_b: str, *,
             job.draws = _diff_tables(reader_a.draw_chunks(rank),
                                      reader_b.draw_chunks(rank),
                                      DRAW_COLUMNS)
-            try:
-                workers_a = reader_a.workers(rank)
-                workers_b = reader_b.workers(rank)
-                job.workers_equal = all(
-                    len(column_a) == len(column_b)
-                    and bool((column_a == column_b).all())
-                    for column_a, column_b in zip(workers_a, workers_b))
-            except Exception:
-                job.workers_equal = False
+            # A job missing its registry members in either artifact
+            # compares unequal; a corrupted registry raises.
+            job.workers_equal = (
+                reader_a.has_workers(rank) and reader_b.has_workers(rank)
+                and all(len(column_a) == len(column_b)
+                        and bool((column_a == column_b).all())
+                        for column_a, column_b in zip(reader_a.workers(rank),
+                                                      reader_b.workers(rank))))
             result.jobs.append(job)
     if exact:
         result.byte_identical = _bytes_equal(path_a, path_b)

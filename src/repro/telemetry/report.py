@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.analysis.streaming import StreamingDescribe
 from repro.analysis.tables import format_table
+from repro.errors import DataError
 from repro.telemetry.reader import TelemetryReader
 from repro.units import hour_bins
 
@@ -88,12 +89,13 @@ def fleet_report(reader: TelemetryReader, *, materialized: bool = False,
         for rank in ranks:
             try:
                 entry = reader.job_meta(rank)
-            except Exception:
+            except DataError:
                 entry = {"name": f"job-{rank}", "model": "", "gflops": 0.0}
-            try:
-                worker_ids, _gpus, _regions = reader.workers(rank)
-                workers = int(len(worker_ids))
-            except Exception:
+            # Only a job without registry members falls back to the meta
+            # count; a corrupted registry raises.
+            if reader.has_workers(rank):
+                workers = len(reader.workers(rank)[0])
+            else:
                 workers = int(entry.get("workers", 0) or 0)
 
             rows = 0

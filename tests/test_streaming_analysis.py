@@ -11,6 +11,7 @@ The two contracts the out-of-core telemetry analysis rides on:
 """
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.analysis import (
     StreamingMoments,
     describe,
 )
+from repro.analysis.streaming import DEFAULT_BLOCK_ROWS
 from repro.errors import DataError
 
 
@@ -99,8 +101,8 @@ def test_percentiles_bit_identical_to_numpy(n):
 
 def test_percentiles_spill_and_cleanup(gamma_values, tmp_path):
     accumulator = ExactPercentiles(run_rows=128)
-    spool_dir = accumulator._dir
     accumulator.update(gamma_values)
+    spool_dir = accumulator._dir
     assert len(accumulator._runs) == gamma_values.size // 128
     assert all(os.path.exists(path) for path in accumulator._runs)
     got = accumulator.percentile([50.0, 95.0])
@@ -112,6 +114,23 @@ def test_percentiles_spill_and_cleanup(gamma_values, tmp_path):
     shared.update(np.arange(32.0))
     shared.close()
     assert os.path.isdir(str(tmp_path))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096])
+def test_percentiles_spill_only_past_one_run(n, monkeypatch):
+    # Below one run the values never leave memory, so no temp directory
+    # is made.  n = 4096 is exactly one spilled run.
+    if n < DEFAULT_BLOCK_ROWS:
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unspilled accumulator made a directory")
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+    values = np.random.default_rng(n).gamma(2.0, 1.5, size=n)
+    quantiles = [0.0, 0.1, 50.0, 95.0, 99.9, 100.0]
+    with ExactPercentiles() as accumulator:
+        accumulator.update(values)
+        assert len(accumulator._runs) == n // DEFAULT_BLOCK_ROWS
+        got = accumulator.percentile(quantiles)
+    assert got == list(np.percentile(values, quantiles))
 
 
 def test_percentiles_validation():

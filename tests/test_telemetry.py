@@ -15,6 +15,9 @@ import asyncio
 import hashlib
 import json
 import os
+import struct
+import warnings
+import zipfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +41,8 @@ from repro.telemetry import (
     write_npz,
 )
 from repro.telemetry.cli import main as telemetry_cli
-from repro.telemetry.writer import DRAW_COLUMNS, STEP_COLUMNS
+from repro.telemetry.writer import (DRAW_COLUMNS, STEP_COLUMNS,
+                                    TELEMETRY_FORMAT_VERSION, _npy_bytes)
 
 #: The self-consistency fleet: 240 jobs per (gpu, region) cell was
 #: validated across seeds to land inside RECOVERY_TOLERANCES; seed 3 is
@@ -105,30 +109,75 @@ def test_spool_unregistered_worker_gets_anonymous_slot(tmp_path):
         assert job._worker_gpus == [""]
 
 
-def test_reader_rejects_unknown_format(tmp_path, monkeypatch):
-    # write_npz always stamps the current version, so forge the artifact.
-    out_path = str(tmp_path / "bad.npz")
-    np.savez(out_path, meta=np.array(json.dumps({"format_version": 99}),
-                                     dtype=np.str_))
-    # Capture the NpzFile the constructor opens: a rejected artifact must
-    # close it instead of leaking the zip handle with the exception.
-    opened = []
-    real_load = np.load
+def _meta(version=TELEMETRY_FORMAT_VERSION):
+    """A ``meta`` member for a forged artifact with no jobs."""
+    return np.array(json.dumps({"format_version": version, "jobs": []}),
+                    dtype=np.str_)
 
-    def capture_load(*args, **kwargs):
-        npz = real_load(*args, **kwargs)
-        opened.append(npz)
-        return npz
 
-    monkeypatch.setattr(np, "load", capture_load)
-    with pytest.raises(DataError, match="format version"):
-        TelemetryReader(out_path)
-    not_telemetry = str(tmp_path / "plain.npz")
-    np.savez(not_telemetry, rows=np.zeros(3))
-    with pytest.raises(DataError, match="no meta entry"):
-        TelemetryReader(not_telemetry)
-    assert len(opened) == 2
-    assert all(npz.zip is None and npz.fid is None for npz in opened)
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors through /proc/self/fd")
+def test_reader_rejects_unknown_format(tmp_path):
+    # write_npz always stamps the current version and stores members
+    # uncompressed under the writer's names, so forge each artifact.
+    rejected = []
+    path = str(tmp_path / "version.npz")
+    np.savez(path, meta=_meta(99))
+    rejected.append((path, "format version"))
+    path = str(tmp_path / "plain.npz")
+    np.savez(path, rows=np.zeros(3))
+    rejected.append((path, "no meta entry"))
+    path = str(tmp_path / "compressed.npz")
+    np.savez_compressed(path, meta=_meta())
+    rejected.append((path, "compressed or encrypted"))
+    path = str(tmp_path / "duplicate.npz")
+    chunk = _npy_bytes(np.zeros((2, len(STEP_COLUMNS))))
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("meta.npy", _npy_bytes(_meta()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "Duplicate name"
+            archive.writestr("job000000/steps/000000.npy", chunk)
+            archive.writestr("job000000/steps/000000.npy", chunk)
+    rejected.append((path, "duplicate telemetry member"))
+    path = str(tmp_path / "unexpected.npz")
+    np.savez(path, meta=_meta(), extra=np.zeros(3))
+    rejected.append((path, "unexpected telemetry member 'extra.npy'"))
+
+    for path, message in rejected:
+        # A rejected artifact must close its file instead of leaking the
+        # handle with the exception.  The exception's traceback keeps the
+        # half-built reader alive, so garbage collection cannot close it.
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(DataError, match=message) as info:
+            TelemetryReader(path)
+        assert len(os.listdir("/proc/self/fd")) == before, path
+        del info
+
+
+_GOOD_HEADER = "{'descr': '<f8', 'fortran_order': True, 'shape': (2, 6), }"
+
+
+@pytest.mark.parametrize("header, payload_rows", [
+    (_GOOD_HEADER[:-3] + "'x'", 2),           # tokenize.TokenError
+    ("1\n  2\n 3", 2),                         # IndentationError
+    (_GOOD_HEADER.replace("'<f8'", "()"), 2),  # IndexError
+    (_GOOD_HEADER.replace("'<f8'", "'O'"), 2),  # object dtype
+    (_GOOD_HEADER, 1),                          # payload one row short
+    (_GOOD_HEADER, 3),                          # payload one row long
+])
+def test_reader_rejects_crafted_npy_headers(tmp_path, header, payload_rows):
+    # The member passes its CRC check (zipfile computes it), so only the
+    # npy header and length checks stand between it and the caller.
+    body = header.encode("latin1")
+    member = (b"\x93NUMPY\x01\x00" + struct.pack("<H", len(body)) + body
+              + bytes(8 * len(STEP_COLUMNS) * payload_rows))
+    path = str(tmp_path / "crafted.npz")
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("meta.npy", _npy_bytes(_meta()))
+        archive.writestr("job000000/steps/000000.npy", member)
+    with TelemetryReader(path) as reader:
+        with pytest.raises(DataError, match="job000000/steps/000000"):
+            reader.step_rows(0)
 
 
 def test_reader_wraps_unreadable_paths_in_data_error(tmp_path):

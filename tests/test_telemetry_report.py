@@ -12,7 +12,9 @@ Covers the PR's two analysis surfaces from the artifact side:
 
 import json
 import os
+import random
 import struct
+import tracemalloc
 import zipfile
 from types import SimpleNamespace
 
@@ -272,6 +274,132 @@ def test_cli_report_on_corrupted_member_is_one_error_line(corrupted_artifact,
     assert len(lines) == 1 and lines[0].startswith("error: corrupted "
                                                    "telemetry member")
     assert "Traceback" not in captured.err
+
+
+@pytest.fixture
+def corrupted_registry(tmp_path, hetero_artifact):
+    return _flip_member_byte(hetero_artifact, str(tmp_path / "registry.npz"),
+                             "job000001/workers/gpus.npy")
+
+
+def test_corrupted_worker_registry_raises_data_error(corrupted_registry,
+                                                     hetero_artifact, capsys):
+    # A registry that fails its CRC is an error, not a job with 0 workers
+    # or an unequal registry.
+    with TelemetryReader(corrupted_registry) as reader:
+        with pytest.raises(DataError, match="job000001/workers/gpus"):
+            fleet_report(reader)
+    with pytest.raises(DataError, match="job000001/workers/gpus"):
+        diff_artifacts(hetero_artifact, corrupted_registry)
+    assert telemetry_cli(["report", corrupted_registry]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: corrupted "
+                                                   "telemetry member")
+
+
+def test_report_job_without_registry_uses_meta_worker_count(tmp_path):
+    spool_dir = str(tmp_path / "meta-only.spool")
+    path = str(tmp_path / "meta-only.npz")
+    os.makedirs(spool_dir)
+    with TelemetrySpool(TelemetryConfig(spool_dir=spool_dir)):
+        pass
+    write_npz(spool_dir, path, {"scenario": "unit", "seed": 0, "jobs": [
+        {"rank": 3, "name": "job-3", "model": "resnet_15", "gflops": 0.589,
+         "workers": 5}]})
+    with TelemetryReader(path) as reader:
+        assert not reader.has_workers(3)
+        document = fleet_report(reader)
+    assert document["jobs"][0]["workers"] == 5
+
+
+#: Bits the flip sweep samples, with a fixed seed, out of the 1,232 in one
+#: step chunk's npy header (128 bytes) and its central-directory name (26
+#: bytes); the full sweep takes about 5 s.
+SWEEP_BITS = 600
+SWEEP_SEED = 17
+
+
+def test_header_and_name_bit_flips_raise_data_error_or_match(tmp_path,
+                                                             hetero_artifact):
+    member = "job000001/steps/000000.npy"
+    with zipfile.ZipFile(hetero_artifact) as archive:
+        info = archive.getinfo(member)
+    with open(hetero_artifact, "rb") as handle:
+        data = handle.read()
+    name_len, extra_len = struct.unpack_from("<HH", data,
+                                             info.header_offset + 26)
+    header = info.header_offset + 30 + name_len + extra_len
+    header_end = header + 10 + struct.unpack_from("<H", data, header + 8)[0]
+    name = member.encode("ascii")
+    # The central directory follows every member, so its copy of the
+    # name is the last one in the file.
+    directory_name = data.rindex(name)
+    assert directory_name > header_end
+    offsets = list(range(header, header_end)) + list(
+        range(directory_name, directory_name + len(name)))
+    bits = [(offset, bit) for offset in offsets for bit in range(8)]
+
+    def report(reader):
+        document = fleet_report(reader)
+        document.pop("artifact")
+        return document
+
+    def refit(reader):
+        return recalibrate(reader).to_params()
+
+    def analyse(path, analysis):
+        with TelemetryReader(path) as reader:
+            return analysis(reader)
+
+    clean = {analysis: analyse(hetero_artifact, analysis)
+             for analysis in (report, refit)}
+    flipped = str(tmp_path / "flipped.npz")
+    for offset, bit in random.Random(SWEEP_SEED).sample(bits, SWEEP_BITS):
+        corrupted = bytearray(data)
+        corrupted[offset] ^= 1 << bit
+        with open(flipped, "wb") as handle:
+            handle.write(corrupted)
+        for analysis, expected in clean.items():
+            try:
+                result = analyse(flipped, analysis)
+            except DataError:
+                continue
+            assert result == expected, (analysis.__name__, offset, bit)
+
+
+@pytest.mark.parametrize("field, bit", [
+    (6, 7),    # version needed to extract 148 (zipfile: NotImplementedError)
+    (8, 0),    # the encrypted flag
+    (23, 7),   # bit 31 of the compressed size: a 2 GiB member
+    (33, 2),   # a 1 KiB comment that swallows the entries after this one
+])
+def test_directory_entry_bit_flips_raise_data_error(tmp_path, hetero_artifact,
+                                                    capsys, field, bit):
+    # ``field`` is a byte offset into the fixed 46-byte part of one step
+    # chunk's central-directory entry.
+    with open(hetero_artifact, "rb") as handle:
+        data = bytearray(handle.read())
+    # The central directory follows every member, so its copy of the name
+    # is the last one in the file, right after the fixed part.
+    entry = data.rindex(b"job000001/steps/000000.npy") - 46
+    assert data[entry:entry + 4] == b"PK\x01\x02"
+    data[entry + field] ^= 1 << bit
+    flipped = str(tmp_path / "flipped.npz")
+    with open(flipped, "wb") as handle:
+        handle.write(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError):
+            with TelemetryReader(flipped) as reader:
+                fleet_report(reader)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # No buffer is ever sized from a directory field the entry cannot hold.
+    assert peak < 4 * 1024 * 1024
+    assert telemetry_cli(["report", flipped]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
