@@ -34,6 +34,7 @@ Run with::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -132,17 +133,16 @@ def _measure_fleet(scenario: ScenarioSpec):
 def _peak_traced_mb(scenario: ScenarioSpec, trace_level: str,
                     telemetry_chunk_rows=None):
     spool_dir = None
-    telemetry = None
+    spooling = contextlib.nullcontext()
     if telemetry_chunk_rows is not None:
         spool_dir = tempfile.mkdtemp(prefix="bench-telemetry-")
-        telemetry = TelemetrySpool(TelemetryConfig(
+        spooling = TelemetrySpool(TelemetryConfig(
             spool_dir=spool_dir, chunk_rows=telemetry_chunk_rows))
     tracemalloc.start()
     try:
-        payload, _, _ = _run_fleet(scenario, trace_level=trace_level,
-                                   telemetry=telemetry)
-        if telemetry is not None:
-            telemetry.close()
+        with spooling as telemetry:
+            payload, _, _ = _run_fleet(scenario, trace_level=trace_level,
+                                       telemetry=telemetry)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -294,7 +294,7 @@ class FleetRun:
             revocation-model draw is recorded; payloads are bit-identical
             with or without it.
         telemetry_ranks: Global job rank per ``scenario.jobs`` entry used
-            to key the spool files.  Defaults to ``0..len(jobs)-1``; the
+            to key the spool members.  Defaults to ``0..len(jobs)-1``; the
             sharded runner passes each shard's global indices so spool
             contents are shard-invariant.
     """

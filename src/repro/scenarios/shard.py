@@ -125,6 +125,7 @@ Contracts (pinned by ``tests/test_shard.py`` and the golden matrix):
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import multiprocessing
@@ -433,6 +434,15 @@ class ShardFleetRun(FleetRun):
         super()._record_revocation(hour_local, rank)
 
 
+def _spooling(telemetry, part: int):
+    """The telemetry spool for ``part`` as a context manager; a no-op
+    context yielding ``None`` when no telemetry is attached."""
+    if telemetry is None:
+        return contextlib.nullcontext()
+    from repro.telemetry.writer import TelemetrySpool
+    return TelemetrySpool(telemetry, part=part)
+
+
 def _shard_worker(conn, scenario: ScenarioSpec, group: ShardGroup,
                   epoch: float, seed: int, catalog, price_catalog,
                   fast_forward, trace_level, telemetry=None,
@@ -449,26 +459,22 @@ def _shard_worker(conn, scenario: ScenarioSpec, group: ShardGroup,
         if plan is not None:
             monitor = plan.monitor("shard_crash", shard=group.index,
                                    incarnation=incarnation)
-        spool = None
-        if telemetry is not None:
-            # Each shard opens its own spool over the shared directory;
-            # chunk files are keyed by global job rank, so the combined
-            # spool is identical to the single-process one.  A restarted
-            # shard deterministically rewrites its own files, so a chunk
-            # half-written at crash time is overwritten on replay.
-            from repro.telemetry.writer import TelemetrySpool
-            spool = TelemetrySpool(telemetry)
-        sub = scenario.shard_subset(group.job_indices, group.cells,
-                                    epoch_hour_utc=epoch)
-        run = ShardFleetRun(sub, RandomStreams(seed=seed), conn=conn,
-                            job_ranks=group.job_indices, catalog=catalog,
-                            price_catalog=price_catalog,
-                            fast_forward=fast_forward,
-                            trace_level=trace_level, telemetry=spool,
-                            chaos_monitor=monitor)
-        payload = run.run()
-        if spool is not None:
-            spool.close()
+        # Each shard appends to its own part file (numbered by shard
+        # index) in the shared directory; members are keyed by global job
+        # rank, so the parts together hold exactly the single-process
+        # members.  A restarted shard reopens and truncates its part,
+        # dropping the unsealed bytes of the incarnation that crashed, and
+        # deterministically rewrites it on replay.
+        with _spooling(telemetry, group.index) as spool:
+            sub = scenario.shard_subset(group.job_indices, group.cells,
+                                        epoch_hour_utc=epoch)
+            run = ShardFleetRun(sub, RandomStreams(seed=seed), conn=conn,
+                                job_ranks=group.job_indices, catalog=catalog,
+                                price_catalog=price_catalog,
+                                fast_forward=fast_forward,
+                                trace_level=trace_level, telemetry=spool,
+                                chaos_monitor=monitor)
+            payload = run.run()
         conn.send(("done", (payload, run.revocation_records,
                             run.events_processed)))
     except BaseException:
@@ -570,18 +576,14 @@ class ShardedFleetRun:
     def run(self) -> Dict[str, Any]:
         """Run the fleet and return the (merged) JSON payload."""
         if len(self.groups) == 1:
-            spool = None
-            if self.telemetry is not None:
-                from repro.telemetry.writer import TelemetrySpool
-                spool = TelemetrySpool(self.telemetry)
-            run = FleetRun(self.scenario, self.streams, catalog=self.catalog,
-                           price_catalog=self.price_catalog,
-                           fast_forward=self.fast_forward,
-                           trace_level=self.trace_level,
-                           telemetry=spool)
-            payload = run.run()
-            if spool is not None:
-                spool.close()
+            with _spooling(self.telemetry, 0) as spool:
+                run = FleetRun(self.scenario, self.streams,
+                               catalog=self.catalog,
+                               price_catalog=self.price_catalog,
+                               fast_forward=self.fast_forward,
+                               trace_level=self.trace_level,
+                               telemetry=spool)
+                payload = run.run()
             self.events_processed = run.events_processed
             return payload
         # Resolve the fleet epoch exactly like FleetRun.__init__ does, so
@@ -628,7 +630,12 @@ class ShardedFleetRun:
             if process.is_alive():  # pragma: no cover - SIGTERM ignored
                 process.kill()
         process.join()
-        return process.exitcode
+        exitcode = process.exitcode
+        # Release the sentinel descriptor now: a raised SimulationError's
+        # traceback would otherwise keep the process object alive.
+        process.close()
+        handle.process = None
+        return exitcode
 
     def _restart(self, handle: _ShardHandle, reason: str) -> None:
         """Reap a dead shard and respawn it for restart-replay.

@@ -18,8 +18,9 @@ tees it behind the job's primary sink (full or summary), so ``trace_level``
 semantics and every golden payload stay bit-identical whether or not
 telemetry is attached.  Sinks receive the same ``append_row`` /
 ``extend_rows`` calls the in-memory trace does; the spool buffers rows in
-plain Python lists and flushes fixed-size ``float64`` chunks to disk, so
-peak memory is bounded by ``chunk_rows`` regardless of fleet size.
+plain Python lists and appends fixed-size ``float64`` chunks to its part
+file on disk, so peak memory is bounded by ``chunk_rows`` regardless of
+fleet size.
 
 Streaming-memory contract
 -------------------------
@@ -43,12 +44,18 @@ tracemalloc: analysis peak stays flat as the job count grows 10x
 
 Merge and ordering guarantees
 -----------------------------
-Spool files are keyed by *global job rank* and per-job chunk index — never by
-shard — and jobs never span shards, so a sharded run produces exactly the
-same set of spool files as a single-process run.  ``write_npz`` packs the
-spool in sorted-filename order with pinned zip metadata (epoch timestamps,
-fixed permissions, ``ZIP_STORED``), which makes the artifact a pure function
-of row contents: sharded export is bit-identical to single-process export.
+Each process writing a spool (the single-process run, or each shard) appends
+its chunks to one *part file* in the spool directory, numbered by shard
+index, and seals it at close with an index of ``(member key, offset,
+length)`` and a fixed footer; opening a part truncates it, so a restarted
+shard rewrites its own part rather than appending to a crashed
+incarnation's.  Member keys carry the *global job rank* and per-job chunk
+index — never the shard — and jobs never span shards, so a sharded run's
+parts hold exactly the members of the single-process part.  ``write_npz``
+refuses an unsealed part or a key present twice, then packs every member
+in sorted-key order with pinned zip metadata (epoch timestamps, fixed
+permissions, ``ZIP_STORED``), which makes the artifact a pure function of
+row contents: sharded export is bit-identical to single-process export.
 Within a job, step rows appear in simulation event order and revocation
 draws in draw order, both of which are shard-invariant by construction
 (a job's events live on one shard and keep their heap tie-break order).

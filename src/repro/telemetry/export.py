@@ -38,8 +38,10 @@ def export_fleet_telemetry(scenario: ScenarioSpec, out_path: str, *,
 
     Args:
         scenario: The scenario to simulate.
-        out_path: Artifact destination (a sibling ``.spool`` directory is
-            used for chunk files and removed afterwards).
+        out_path: Artifact destination (a sibling ``.spool`` directory
+            holds one part file per process and is removed afterwards;
+            one left behind by an export killed before cleanup is
+            removed first).
         seed: Sweep root seed (matches ``repro-scenarios --seed``).
         replicate: Which replicate cell to export.
         shards: Worker processes (``None`` reads ``REPRO_FLEET_SHARDS``).
@@ -73,7 +75,10 @@ def export_fleet_telemetry(scenario: ScenarioSpec, out_path: str, *,
     }
 
     spool_dir = out_path + ".spool"
-    os.makedirs(spool_dir, exist_ok=True)
+    # The spool is this exporter's own scratch: a leftover one must not
+    # leak its members into this artifact.
+    shutil.rmtree(spool_dir, ignore_errors=True)
+    os.makedirs(spool_dir)
     try:
         runner = ShardedFleetRun(
             derived, streams, catalog=resolved_catalog, shards=shards,

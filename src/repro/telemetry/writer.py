@@ -8,19 +8,35 @@ A fleet run streams two row kinds per job into a *spool* directory:
   replacement admissions), captured by the fleet's draw hook.
 
 Rows are buffered in plain Python lists and flushed every
-``chunk_rows`` rows as a single ``float64`` matrix via :func:`numpy.save`,
-so a job's peak buffered state is one chunk regardless of how long it
-trains.  Spool file names carry the *global* job rank and a per-job,
-per-kind chunk counter — ``job000003__steps__000002.npy`` — which makes
-the spool contents independent of how the fleet was sharded: jobs never
-span shards, so every shard writes exactly the files the single-process
-run would have written for its jobs.
+``chunk_rows`` rows as a single ``float64`` matrix in :func:`numpy.save`
+format, so a job's peak buffered state is one chunk regardless of how
+long it trains.
 
-:func:`write_npz` then packs the spool into one ``.npz`` artifact in
-sorted-filename order with pinned zip metadata (epoch timestamps, fixed
-permissions, no compression), streaming one member at a time.  The
-resulting bytes are a pure function of the row contents — the
-bit-identity half of the telemetry contract.
+Part files
+----------
+Each :class:`TelemetrySpool` (one per process: the single-process run,
+or one per shard) appends every flushed chunk to one *part file*,
+``part<NNNN>`` in the spool directory, and records the chunk's member
+key, byte offset and length.  A key is the global job rank, the row kind
+and a per-job, per-kind chunk counter — ``job000003__steps__000002.npy``
+— plus ``job000003__workers__{ids,gpus,regions}.npy`` for the worker
+registry, so the keys are independent of how the fleet was sharded:
+jobs never span shards, so the shards' parts together hold exactly the
+members the single-process part would have held.
+
+``close()`` appends the part's index (JSON ``[key, offset, length]``
+triples) and a fixed footer — the index offset and a magic — which
+*seals* the part.  A part without the footer was never closed (its
+process crashed or its run raised), and :func:`write_npz` refuses it.
+Opening a spool truncates its part, so a restarted shard rewrites its
+own part from scratch and never appends to a dead incarnation's bytes.
+
+:func:`write_npz` then reads every sealed part's index and packs the
+members into one ``.npz`` artifact in sorted-key order with pinned zip
+metadata (epoch timestamps, fixed permissions, no compression), copying
+one member at a time with one positioned read.  The resulting bytes are
+a pure function of the row contents — the bit-identity half of the
+telemetry contract.
 
 All values are stored as ``float64``; the integer columns (worker index,
 step counts) are exact up to 2**53, far beyond any fleet's range.
@@ -28,12 +44,15 @@ step counts) are exact up to 2**53, far beyond any fleet's range.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
+import re
+import struct
 import zipfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import BinaryIO, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -57,16 +76,25 @@ STEP_COLUMNS = ("worker", "start_time", "end_time", "steps",
 DRAW_COLUMNS = ("worker", "launch_hour_local", "revoked",
                 "lifetime_hours", "revocation_hour_local")
 
+#: A part file's name in the spool directory: ``part`` + the part number.
+_PART_NAME = re.compile(r"part\d{4,}", re.ASCII)
+
+#: The footer that seals a part file: the index's byte offset, then the
+#: magic.  The index runs from that offset to the footer.
+_PART_FOOTER = struct.Struct("<Q8s")
+_PART_MAGIC = b"RPRSPOOL"
+
 
 @dataclass(frozen=True)
 class TelemetryConfig:
     """Picklable description of a telemetry spool.
 
     Shard workers receive this (not a live :class:`TelemetrySpool`) and
-    construct their own spool over the shared directory.
+    construct their own spool, with their own part number, over the
+    shared directory.
 
     Attributes:
-        spool_dir: Directory receiving chunk files; must exist.
+        spool_dir: Directory receiving the part files; must exist.
         chunk_rows: Rows buffered per job/kind before flushing.
     """
 
@@ -232,7 +260,7 @@ class JobTelemetry:
         self._draws = [[] for _ in DRAW_COLUMNS]
 
     def close(self) -> None:
-        """Flush partial chunks and write the worker registry files."""
+        """Flush partial chunks and append the worker registry members."""
         self._flush_steps()
         self._flush_draws()
         self._spool._write_workers(self.rank, self._worker_ids,
@@ -250,18 +278,35 @@ class JobTelemetry:
 
 
 class TelemetrySpool:
-    """A fleet's (or one shard's) set of per-job telemetry buffers."""
+    """A fleet's (or one shard's) per-job telemetry buffers and part file.
 
-    def __init__(self, config: TelemetryConfig):
+    The spool holds its part file open from construction until it is
+    closed, so use it as a context manager: leaving the block normally
+    seals the part, while leaving it through an exception closes the
+    file unsealed, which :func:`write_npz` then refuses.
+
+    Args:
+        config: Spool directory and chunk size.
+        part: Part number, unique per process writing into the directory
+            (the shard index, 0 for a single-process run).  Opening a
+            spool truncates its part.
+    """
+
+    def __init__(self, config: TelemetryConfig, part: int = 0):
         if config.chunk_rows <= 0:
             raise DataError("telemetry chunk_rows must be positive")
+        if part < 0:
+            raise DataError("telemetry spool part must be >= 0")
         if not os.path.isdir(config.spool_dir):
             raise DataError(
                 f"telemetry spool directory does not exist: {config.spool_dir}")
         self.config = config
         self.chunk_rows = int(config.chunk_rows)
         self._jobs: List[JobTelemetry] = []
-        self._closed = False
+        self._file = open(
+            os.path.join(config.spool_dir, f"part{part:04d}"), "wb")
+        self._index: List[Tuple[str, int, int]] = []
+        self._offset = 0
 
     def job(self, rank: int, name: str, model_name: str,
             gflops: float) -> JobTelemetry:
@@ -274,45 +319,60 @@ class TelemetrySpool:
     def jobs(self) -> Sequence[JobTelemetry]:
         return tuple(self._jobs)
 
-    def _path(self, rank: int, kind: str, chunk: int) -> str:
-        return os.path.join(self.config.spool_dir,
-                            f"job{rank:06d}__{kind}__{chunk:06d}.npy")
+    def _append(self, key: str, array: np.ndarray) -> None:
+        payload = _npy_bytes(array)
+        self._file.write(payload)
+        self._index.append((key, self._offset, len(payload)))
+        self._offset += len(payload)
 
     def _write_chunk(self, rank: int, kind: str, chunk: int,
                      matrix: np.ndarray) -> None:
-        np.save(self._path(rank, kind, chunk), matrix)
+        self._append(f"job{rank:06d}__{kind}__{chunk:06d}.npy", matrix)
 
     def _write_workers(self, rank: int, ids: List[str], gpus: List[str],
                        regions: List[str]) -> None:
-        base = os.path.join(self.config.spool_dir, f"job{rank:06d}__workers")
-        np.save(base + "__ids.npy", np.array(ids, dtype=np.str_))
-        np.save(base + "__gpus.npy", np.array(gpus, dtype=np.str_))
-        np.save(base + "__regions.npy", np.array(regions, dtype=np.str_))
+        base = f"job{rank:06d}__workers"
+        self._append(base + "__ids.npy", np.array(ids, dtype=np.str_))
+        self._append(base + "__gpus.npy", np.array(gpus, dtype=np.str_))
+        self._append(base + "__regions.npy",
+                     np.array(regions, dtype=np.str_))
 
     def close(self) -> None:
-        """Flush every job's buffers; idempotent."""
-        if self._closed:
+        """Flush every job's buffers and seal the part file; idempotent."""
+        if self._file.closed:
             return
-        self._closed = True
-        for handle in self._jobs:
-            handle.close()
+        try:
+            for handle in self._jobs:
+                handle.close()
+            self._file.write(json.dumps(self._index).encode())
+            self._file.write(_PART_FOOTER.pack(self._offset, _PART_MAGIC))
+        finally:
+            self._file.close()
 
     def __enter__(self) -> "TelemetrySpool":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._file.close()  # unsealed: write_npz refuses this part
 
 
 def write_npz(spool_dir: str, out_path: str, meta: Dict[str, object]) -> int:
-    """Pack a spool directory into one deterministic ``.npz`` artifact.
+    """Pack a spool directory's sealed parts into one ``.npz`` artifact.
 
-    Members are added in sorted-filename order with pinned zip metadata
-    (DOS epoch timestamps, mode 0600, ``ZIP_STORED``), one member held in
+    Members are added in sorted-key order with pinned zip metadata (DOS
+    epoch timestamps, mode 0600, ``ZIP_STORED``), one member held in
     memory at a time, so equal spool contents produce byte-equal
     artifacts no matter which process wrote which chunk.  A ``meta``
     member (canonical-JSON, stored as a 0-d unicode array) leads the
     archive.
+
+    Every part is checked before anything is written: a part with no
+    valid footer (never closed), an index entry that points past the
+    part's data, a short read and a member key present twice each raise
+    :class:`~repro.errors.DataError` naming the part.
 
     The write is atomic: bytes stream into a ``.tmp`` sibling that is
     ``os.replace``-d over ``out_path`` only after the zip closes cleanly,
@@ -321,46 +381,98 @@ def write_npz(spool_dir: str, out_path: str, meta: Dict[str, object]) -> int:
     on.
 
     Returns:
-        The number of spool files packed (excluding ``meta``).
+        The number of members packed (excluding ``meta``).
     """
-    names = sorted(name for name in os.listdir(spool_dir)
-                   if name.endswith(".npy"))
     document = dict(meta)
     document["format_version"] = TELEMETRY_FORMAT_VERSION
     meta_json = json.dumps(document, sort_keys=True, separators=(",", ":"))
     plan = chaos.active_plan()
     monitor = plan.monitor("npz_truncate") if plan is not None else None
     tmp_path = f"{out_path}.tmp"
-    try:
-        with open(tmp_path, "wb") as out:
-            with zipfile.ZipFile(out, "w", zipfile.ZIP_STORED) as archive:
-                _add_member(archive, "meta.npy",
-                            _npy_bytes(np.array(meta_json, dtype=np.str_)))
-                for name in names:
-                    if monitor:
-                        fault = monitor.tick()
-                        if fault is not None:
-                            chaos.log_event("injected_npz_truncate",
-                                            fault=fault.to_entry(),
-                                            member=name, out_path=out_path)
-                            raise DataError(
-                                f"chaos: telemetry export truncated before "
-                                f"member {name!r}")
-                    arcname = name[:-4].replace("__", "/") + ".npy"
-                    with open(os.path.join(spool_dir, name), "rb") as chunk:
-                        _add_member(archive, arcname, chunk.read())
-            out.flush()
-            os.fsync(out.fileno())
-    except BaseException:
-        # The artifact path must never hold partial bytes; the tmp
-        # sibling is ours to discard.
+    with contextlib.ExitStack() as parts:
+        owners: Dict[str, str] = {}
+        members = []
+        for name in sorted(os.listdir(spool_dir)):
+            if not _PART_NAME.fullmatch(name):
+                continue
+            path = os.path.join(spool_dir, name)
+            handle = parts.enter_context(open(path, "rb"))
+            for key, offset, length in _read_index(path, handle):
+                if key in owners:
+                    raise DataError(
+                        f"telemetry spool member {key!r} appears in both "
+                        f"{owners[key]} and {path}")
+                owners[key] = path
+                members.append((key, path, handle, offset, length))
+        members.sort(key=lambda member: member[0])
         try:
-            os.remove(tmp_path)
-        except OSError:
-            pass
-        raise
+            with open(tmp_path, "wb") as out:
+                with zipfile.ZipFile(out, "w", zipfile.ZIP_STORED) as archive:
+                    _add_member(archive, "meta.npy",
+                                _npy_bytes(np.array(meta_json, dtype=np.str_)))
+                    for key, path, handle, offset, length in members:
+                        if monitor:
+                            fault = monitor.tick()
+                            if fault is not None:
+                                chaos.log_event("injected_npz_truncate",
+                                                fault=fault.to_entry(),
+                                                member=key, out_path=out_path)
+                                raise DataError(
+                                    f"chaos: telemetry export truncated "
+                                    f"before member {key!r}")
+                        handle.seek(offset)
+                        payload = handle.read(length)
+                        if len(payload) != length:
+                            raise DataError(
+                                f"short read of telemetry spool member "
+                                f"{key!r} from {path}: {len(payload)} of "
+                                f"{length} bytes")
+                        arcname = key[:-4].replace("__", "/") + ".npy"
+                        _add_member(archive, arcname, payload)
+                out.flush()
+                os.fsync(out.fileno())
+        except BaseException:
+            # The artifact path must never hold partial bytes; the tmp
+            # sibling is ours to discard.
+            try:
+                os.remove(tmp_path)
+            except OSError:
+                pass
+            raise
     os.replace(tmp_path, out_path)
-    return len(names)
+    return len(members)
+
+
+def _read_index(path: str, handle: BinaryIO) -> List[Tuple[str, int, int]]:
+    """The ``(key, offset, length)`` index of one sealed part file."""
+    data_end = os.fstat(handle.fileno()).st_size - _PART_FOOTER.size
+    index_offset, magic = 0, b""
+    if data_end >= 0:
+        handle.seek(data_end)
+        index_offset, magic = _PART_FOOTER.unpack(
+            handle.read(_PART_FOOTER.size))
+    if magic != _PART_MAGIC or index_offset > data_end:
+        raise DataError(f"telemetry spool part {path} has no valid footer; "
+                        f"its spool was never closed")
+    handle.seek(index_offset)
+    try:
+        index = [(key, offset, length) for key, offset, length
+                 in json.loads(handle.read(data_end - index_offset))]
+    except (ValueError, TypeError) as exc:
+        raise DataError(
+            f"telemetry spool part {path} has a malformed index: {exc}") from exc
+    for key, offset, length in index:
+        if not (isinstance(key, str) and key.endswith(".npy")
+                and type(offset) is int and type(length) is int
+                and offset >= 0 and length >= 0):
+            raise DataError(f"telemetry spool part {path} has a malformed "
+                            f"index entry {[key, offset, length]!r}")
+        if offset + length > index_offset:
+            raise DataError(
+                f"telemetry spool part {path}: member {key!r} ends at byte "
+                f"{offset + length}, past the end of the part's data "
+                f"({index_offset} bytes)")
+    return index
 
 
 def _npy_bytes(array: np.ndarray) -> bytes:

@@ -12,8 +12,10 @@ Covers the three tentpole contracts of :mod:`repro.telemetry`:
 """
 
 import asyncio
+import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
 import warnings
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError, DataError, SimulationError
 from repro.modeling.placement import PlacementQuery
 from repro.scenarios.catalog import get_scenario
 from repro.serve.service import PlacementService
@@ -40,9 +42,11 @@ from repro.telemetry import (
     recalibrate,
     write_npz,
 )
+from repro.telemetry import writer
 from repro.telemetry.cli import main as telemetry_cli
 from repro.telemetry.writer import (DRAW_COLUMNS, STEP_COLUMNS,
-                                    TELEMETRY_FORMAT_VERSION, _npy_bytes)
+                                    TELEMETRY_FORMAT_VERSION, JobTelemetry,
+                                    _npy_bytes)
 
 #: The self-consistency fleet: 240 jobs per (gpu, region) cell was
 #: validated across seeds to land inside RECOVERY_TOLERANCES; seed 3 is
@@ -78,13 +82,14 @@ def test_spool_round_trip(tmp_path):
                             10, 10 * (index + 1), 10 * (index + 1))
         job.record_draw("worker-0", 7.0, _outcome(True, 3.25, 10.25))
         job.record_draw("worker-0", 8.0, _outcome(False))
-    # chunk_rows=4 over 10 rows: two full chunks + one partial at close.
-    chunks = [name for name in os.listdir(spool_dir) if "__steps__" in name]
-    assert len(chunks) == 3
+    # Every chunk went into the spool's one part file.
+    assert os.listdir(spool_dir) == ["part0000"]
     write_npz(spool_dir, out_path, {"scenario": "unit", "jobs": []})
 
     with TelemetryReader(out_path) as reader:
         assert reader.ranks == [0]
+        # chunk_rows=4 over 10 rows: two full chunks + one partial at close.
+        assert [len(chunk) for chunk in reader.step_chunks(0)] == [4, 4, 2]
         ids, gpus, regions = reader.workers(0)
         assert list(ids) == ["worker-0"]
         assert list(gpus) == ["k80"] and list(regions) == ["us-east1"]
@@ -107,6 +112,107 @@ def test_spool_unregistered_worker_gets_anonymous_slot(tmp_path):
         ids = job._worker_ids
         assert ids == ["session-restart"]
         assert job._worker_gpus == [""]
+
+
+# ---------------------------------------------------------------------------
+# Spool part files: one append-only file per spool, sealed at close.
+# ---------------------------------------------------------------------------
+def _fill(spool, ranks=(0,), rows=5):
+    for rank in ranks:
+        job = spool.job(rank, f"job-{rank}", "resnet_15", 0.589)
+        job.register_worker("worker-0", "k80", "us-east1")
+        sink = job.step_sink()
+        for index in range(rows):
+            sink.append_row("worker-0", float(index), index + 0.5,
+                            10, 10 * (index + 1), 10 * (index + 1))
+        job.record_draw("worker-0", 7.0, _outcome(True, 3.25, 10.25))
+
+
+def _packed(tmp_path, label, *spools):
+    """Spool each ``(part, ranks)`` into a fresh directory and pack it."""
+    spool_dir = tmp_path / f"{label}.spool"
+    spool_dir.mkdir()
+    config = TelemetryConfig(spool_dir=str(spool_dir), chunk_rows=2)
+    for part, ranks in spools:
+        with TelemetrySpool(config, part=part) as spool:
+            _fill(spool, ranks)
+    out_path = str(tmp_path / f"{label}.npz")
+    write_npz(str(spool_dir), out_path, {"scenario": "unit"})
+    return spool_dir, out_path
+
+
+def test_spool_writes_one_part_file_for_any_job_count(tmp_path):
+    spool_dir, out_path = _packed(tmp_path, "fifty", (0, range(50)))
+    assert os.listdir(spool_dir) == ["part0000"]
+    with TelemetryReader(out_path) as reader:
+        assert reader.ranks == list(range(50))
+        assert [len(chunk) for chunk in reader.step_chunks(49)] == [2, 2, 1]
+
+
+def test_spool_parts_merge_to_the_single_part_bytes(tmp_path):
+    _, single = _packed(tmp_path, "single", (0, (0, 1, 2)))
+    _, split = _packed(tmp_path, "split", (1, (1,)), (0, (0, 2)))
+    assert _sha256(split) == _sha256(single)
+
+
+def test_reopened_part_replaces_an_unsealed_one(tmp_path):
+    _, clean = _packed(tmp_path, "clean", (0, (0, 1)))
+    spool_dir = tmp_path / "crashed.spool"
+    spool_dir.mkdir()
+    config = TelemetryConfig(spool_dir=str(spool_dir), chunk_rows=2)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        with TelemetrySpool(config, part=0) as spool:
+            _fill(spool, (0, 1, 7))
+            raise RuntimeError("mid-run failure")
+    out_path = str(tmp_path / "crashed.npz")
+    with pytest.raises(DataError, match="part0000 has no valid footer"):
+        write_npz(str(spool_dir), out_path, {"scenario": "unit"})
+    assert not os.path.exists(out_path)
+    assert not os.path.exists(out_path + ".tmp")
+    with TelemetrySpool(config, part=0) as spool:
+        _fill(spool, (0, 1))
+    write_npz(str(spool_dir), out_path, {"scenario": "unit"})
+    assert _sha256(out_path) == _sha256(clean)
+
+
+def test_write_npz_rejects_a_member_in_two_parts(tmp_path):
+    with pytest.raises(DataError, match=r"'job000001__steps__000000\.npy' "
+                                        r"appears in both .*part0000 and "
+                                        r".*part0001"):
+        _packed(tmp_path, "twice", (0, (0, 1)), (1, (1,)))
+
+
+def test_write_npz_rejects_an_index_past_the_data(tmp_path):
+    spool_dir, _ = _packed(tmp_path, "forged", (0, (0,)))
+    part = spool_dir / "part0000"
+    raw = part.read_bytes()
+    index_offset, magic = struct.unpack("<Q8s", raw[-16:])
+    index = json.loads(raw[index_offset:-16])
+    index[-1][2] += 1
+    body = json.dumps(index).encode()
+    part.write_bytes(raw[:index_offset] + body + raw[-16:])
+    with pytest.raises(DataError, match=r"part0000: member "
+                                        r"'job000000__workers__regions\.npy' "
+                                        r"ends at byte \d+, past the end"):
+        write_npz(str(spool_dir), str(tmp_path / "out.npz"), {})
+
+
+def test_write_npz_rejects_a_short_read(tmp_path, monkeypatch):
+    spool_dir, _ = _packed(tmp_path, "shrunk", (0, (0,)))
+    read_index = writer._read_index
+
+    def stale_index(path, handle):
+        # As if the part shrank after its index was read.
+        *index, (key, offset, length) = read_index(path, handle)
+        return index + [(key, offset, length + 1024)]
+
+    monkeypatch.setattr(writer, "_read_index", stale_index)
+    out_path = tmp_path / "out.npz"
+    with pytest.raises(DataError, match=r"short read of telemetry spool "
+                                        r"member 'job000000__workers__"
+                                        r"regions\.npy' from .*part0000"):
+        write_npz(str(spool_dir), str(out_path), {})
+    assert sorted(os.listdir(tmp_path)) == ["shrunk.npz", "shrunk.spool"]
 
 
 def _meta(version=TELEMETRY_FORMAT_VERSION):
@@ -258,6 +364,90 @@ def test_export_bit_identical_across_shards_and_trace_level(tmp_path):
     assert payloads["single"] == payloads["sharded"] == payloads["summary"]
     # No spool directories left behind.
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".spool")]
+
+
+#: sha256 of the ``multi_region_hetero`` seed-1 export by ``chunk_rows``,
+#: pinned from the per-chunk-file spool the part files replaced (Python
+#: 3.11.7, numpy 2.4.6).
+EXPORT_PINS = {
+    4096: "12dfd9dec87d8fe4d7100823fd83aa214cd6cbd8d70770edf9054badeca2b2e8",
+    7: "52a931fd6c38290ce8706907ae799496b5e1ccbb23a391733ed9614858465e52",
+    1: "e8aa8bd3985278fb21b2febcdac0d7baa90a78132cf4617fa8b308c4e70de533",
+}
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("chunk_rows", sorted(EXPORT_PINS))
+def test_export_bytes_are_pinned(tmp_path, chunk_rows, shards):
+    path = str(tmp_path / "pinned.npz")
+    export_fleet_telemetry(get_scenario("multi_region_hetero"), path, seed=1,
+                           shards=shards, chunk_rows=chunk_rows)
+    assert _sha256(path) == EXPORT_PINS[chunk_rows]
+
+
+def test_export_through_shard_crashes_matches_the_pin(tmp_path, monkeypatch):
+    # Shard 0 dies at its second draw request (simulated t=600 s), after
+    # its first job's rows went into its part; the respawn truncates that
+    # unsealed part and rewrites it.
+    log = tmp_path / "chaos.jsonl"
+    monkeypatch.setenv("REPRO_CHAOS",
+                       "shard_crash:shard=0,at=2;shard_crash:shard=1,at=1")
+    monkeypatch.setenv("REPRO_CHAOS_LOG", str(log))
+    path = str(tmp_path / "crash.npz")
+    export_fleet_telemetry(get_scenario("multi_region_hetero"), path, seed=1,
+                           shards=2, chunk_rows=1)
+    assert _sha256(path) == EXPORT_PINS[1]
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    crashes = {record["fault"]: record["time"] for record in records
+               if record["event"] == "injected_shard_crash"}
+    assert crashes == {"shard_crash:at=2,shard=0": 600.0,
+                       "shard_crash:shard=1": 0.0}
+    assert [record["event"] for record in records].count("shard_restart") == 2
+
+
+def test_export_ignores_a_stale_spool(tmp_path):
+    path = tmp_path / "stale.npz"
+    stale = tmp_path / "stale.npz.spool"
+    stale.mkdir()
+    # A sealed part from an earlier 4-shard export and an unsealed one
+    # from a killed export, both holding a rank this fleet does not have.
+    config = TelemetryConfig(spool_dir=str(stale), chunk_rows=2)
+    with TelemetrySpool(config, part=3) as spool:
+        _fill(spool, (99,))
+    with pytest.raises(RuntimeError):
+        with TelemetrySpool(config, part=0) as spool:
+            _fill(spool, (98,))
+            raise RuntimeError("killed")
+    export_fleet_telemetry(get_scenario("multi_region_hetero"), str(path),
+                           seed=1, shards=2)
+    assert _sha256(path) == EXPORT_PINS[4096]
+    assert not stale.exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts open descriptors through /proc/self/fd")
+@pytest.mark.parametrize("shards", [1, 2])
+def test_failed_export_leaks_no_descriptor_and_no_files(tmp_path, monkeypatch,
+                                                        shards):
+    if shards > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched sink reaches shard children through fork")
+    record_step = JobTelemetry.record_step
+    rows = []
+
+    def failing_record_step(self, *args):
+        rows.append(args)
+        if len(rows) > 40:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        record_step(self, *args)
+
+    monkeypatch.setattr(JobTelemetry, "record_step", failing_record_step)
+    path = tmp_path / "failed.npz"
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises((OSError, SimulationError), match="No space left"):
+        export_fleet_telemetry(get_scenario("multi_region_hetero"), str(path),
+                               seed=1, shards=shards, chunk_rows=4)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
