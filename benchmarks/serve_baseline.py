@@ -11,10 +11,11 @@ and records:
 * **p50/p99 latency** of single ``answer`` calls over a sampled slice of
   the same stream;
 * **cold-scoring throughput** of a fresh service (empty score table, every
-  option built on first use, each scored once per duration), divided by
-  the chunked single-session steps/sec of the core baseline's reference
-  session (:func:`core_baseline.chunked_steps_per_sec`) measured in the
-  same process — the host-normalized ratio the CI smoke gate tracks.
+  option built on first use, each scored once per duration), best of five
+  fresh services, divided by the best-of-five chunked single-session
+  steps/sec of the core baseline's reference session
+  (:func:`core_baseline.chunked_steps_per_sec`) measured in the same
+  process — the host-normalized ratio the CI smoke gate tracks.
 
 It also verifies the serve-layer contracts: batch answers bit-identical
 to sequential singles, and decisions deterministic across fresh services.
@@ -42,7 +43,7 @@ import time
 import numpy as np
 
 from _common import environment_block, make_parser, ratio_gate, write_json
-from core_baseline import chunked_steps_per_sec
+from core_baseline import BEST_OF, chunked_steps_per_sec
 from repro.modeling.launch_advisor import LaunchAdvisor
 from repro.modeling.placement import PlacementQuery
 from repro.scenarios.pool import TransientPool
@@ -167,16 +168,23 @@ def measure_replay(config: dict) -> dict:
 
 
 def measure_cold_scoring(config: dict) -> dict:
-    """Score the full option grid cold; gate the host-normalized rate."""
-    service = build_service(config, with_pool=False)
+    """Score the full option grid cold; gate the host-normalized rate.
+
+    Each run answers on a fresh service, so every option is built; the
+    best wall counts, like the best-of-five normalizer it is divided by.
+    """
     queries = [PlacementQuery(gpu_name=gpu, duration_hours=duration,
                               hour_of_day_utc=hour)
                for gpu in GPUS
                for duration in COLD_DURATIONS
                for hour in UTC_HOURS]
-    started = time.perf_counter()
-    asyncio.run(service.answer_many(queries))
-    wall = time.perf_counter() - started
+    walls = []
+    for _ in range(BEST_OF):
+        service = build_service(config, with_pool=False)
+        started = time.perf_counter()
+        asyncio.run(service.answer_many(queries))
+        walls.append(time.perf_counter() - started)
+    wall = min(walls)
     session_steps_per_sec = chunked_steps_per_sec()
     return {
         "options": len(GPUS) * len(UTC_HOURS),
@@ -260,7 +268,8 @@ def main(argv=None) -> int:
                      "cache repeatedly invalidated); latency percentiles "
                      "time single answer() awaits.  cold_scoring answers "
                      "the full grid on a fresh service (every score-table "
-                     "option built on first use); queries_per_kilostep "
+                     "option built on first use), best of five fresh "
+                     "services; queries_per_kilostep "
                      "divides its queries/sec by the chunked-path steps/sec "
                      "of the core baseline's quick reference session "
                      "(per 1000 steps), measured in the same process, and "

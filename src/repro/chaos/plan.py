@@ -24,7 +24,9 @@ Fault kinds and their sites:
     (:mod:`repro.serve.transport`); retrying clients must converge.
 ``serve_hang``
     The server sleeps ``seconds`` (default far past any timeout) before
-    dispatching the ``at``-th request, driving the per-request timeout.
+    dispatching the ``at``-th request.  The sleep is the one await in
+    dispatch that can suspend, so it carries the ``request_timeout``
+    deadline and drives the ``timeout`` error line.
 ``sweep_kill``
     A sweep worker process calls ``os._exit`` before executing the cell
     with index ``cell`` (:mod:`repro.sweeps.runner`), surfacing as a

@@ -39,8 +39,12 @@ per-option sampler (one stable generator per option, seeded from the
 advisor seed and a CRC digest of the option, consuming the underlying
 bit stream double-for-double — a block ``Generator.random`` draw yields
 the same doubles as the scalar ``uniform``/``choice`` calls it replaces)
-and applies the sampler's arithmetic to a whole option at once, with the
-Weibull power kept scalar (see :meth:`ScoreTable._build_option`).
+and applies the sampler's arithmetic to a whole option at once.  The
+Weibull power is the one step numpy's array kernel may round apart from
+the scalar ``**``: the array power only bins candidate hours, a clock
+within :data:`_BIN_MARGIN_HOURS` of a whole hour is re-binned from the
+scalar power, and each kept lifetime is a scalar ``**`` (see
+:meth:`ScoreTable._build_option`).
 The contract is pinned at the **lifetime level**:
 ``tests/test_placement_api.py`` compares every option's sorted lifetime
 vector byte for byte against the scalar sampler (kept as a test-only
@@ -82,6 +86,11 @@ DEFAULT_CANDIDATES = 8
 #: revoked samples) ``DEFAULT_CANDIDATES`` candidate draws plus one
 #: hour-of-day resampling choice.
 _DRAWS_PER_SAMPLE = DEFAULT_CANDIDATES + 2
+
+#: Hours from a whole hour within which a candidate's clock is re-binned
+#: from the scalar power (see :meth:`ScoreTable._build_option`).  The
+#: array and scalar powers differ by a few ulp, ≈1e-14 h at these clocks.
+_BIN_MARGIN_HOURS = 1e-6
 
 
 def _real(value: Any, field_name: str) -> float:
@@ -378,16 +387,32 @@ class ScoreTable:
         option — is discarded.
 
         Where each sample starts depends on every earlier outcome, so one
-        scalar scan of the tape finds the revoked samples; the rest runs on
-        the whole (revoked × candidates) matrix with the same arithmetic
-        on the same doubles.  One operation stays scalar on purpose: the
-        Weibull power.  numpy's SIMD ``power`` kernel can round differently
-        from the C ``pow`` behind a float ``**`` (about 4% of these values
-        on an AVX-512 host), so each power is a Python-float ``**``.  The
-        ``log`` may run on the matrix: a scalar ``np.log`` goes through the
-        same numpy kernel, so the bits match.  The remaining steps
-        (products, 8-wide row sums, row ``cumsum``, divisions and
-        comparisons) round exactly like their one-row forms.
+        scalar scan of a byte mask of the revocation tests finds the
+        revoked samples; the rest runs on the whole (revoked × candidates)
+        matrix with the same arithmetic on the same doubles.  The ``log``
+        may run on the matrix: a scalar ``np.log`` goes through the same
+        numpy kernel, so the bits match.  The remaining steps (products,
+        8-wide row sums, row ``cumsum``, divisions and comparisons) round
+        exactly like their one-row forms.
+
+        The Weibull power is the exception: numpy's SIMD ``power`` kernel
+        can round differently from the C ``pow`` behind a float ``**``
+        (about 4% of these values on an AVX-512 host, by a few ulp).  Two
+        things depend on the powers, and each is kept exact:
+
+        * Only the candidates' *hour bins* feed the hour-weighted choice
+          (weights, cdf, draw), so the bins are taken from the array
+          ``np.power``.  A few-ulp error can move a candidate's clock
+          (``launch_hour + time``) across an hour boundary only when the
+          clock lies within a few ulp of a whole hour.  Clocks stay below
+          48 h, where an ulp is ≈7e-15 h, so every clock within
+          :data:`_BIN_MARGIN_HOURS` (1e-6 h: about 8 orders of magnitude
+          of headroom) of a whole hour is recomputed with the scalar
+          ``**`` before binning.  Every bin, and so every choice, equals
+          the scalar sampler's.
+        * The one kept lifetime per revoked sample is computed with the
+          scalar ``scale * base ** inv_shape``, as the sampler does: one
+          Python power per revoked sample instead of one per candidate.
         """
         params = self._model.params_for(gpu_name, region_name)
         shape, scale = params.weibull_shape, params.weibull_scale_hours
@@ -402,22 +427,24 @@ class ScoreTable:
         rng = np.random.default_rng(self.seed * 9973 + option_index)
         tape = rng.random(self.samples * _DRAWS_PER_SAMPLE)
         candidates = DEFAULT_CANDIDATES
-        draws = tape.tolist()
+        survived = (tape >= params.p_revoke_24h).tobytes()
         starts: List[int] = []
         position = 0
         for _ in range(self.samples):
-            if draws[position] >= params.p_revoke_24h:
+            if survived[position]:
                 position += 1
             else:
                 starts.append(position + 1)
                 position += _DRAWS_PER_SAMPLE
         first = np.asarray(starts, dtype=np.intp)
         uniforms = tape[first[:, None] + np.arange(candidates)] * cap_quantile
-        logs = np.log(1.0 - uniforms)
-        times = np.array([scale * (-x) ** inv_shape
-                          for x in logs.ravel().tolist()],
-                         dtype=np.float64).reshape(logs.shape)
-        candidate_weights = weights[hour_bins(launch_hour + times)] + 1e-9
+        bases = -np.log(1.0 - uniforms)
+        clocks = launch_hour + scale * np.power(bases, inv_shape)
+        near = np.abs(clocks - np.rint(clocks)) < _BIN_MARGIN_HOURS
+        if near.any():
+            clocks[near] = [launch_hour + scale * base ** inv_shape
+                            for base in bases[near].tolist()]
+        candidate_weights = weights[hour_bins(clocks)] + 1e-9
         probabilities = (candidate_weights
                          / candidate_weights.sum(axis=1)[:, None])
         # Generator.choice(n, p=...) == cumsum-normalize + one double +
@@ -429,7 +456,9 @@ class ScoreTable:
         # Every draw is < 1.0 and every row ends at exactly 1.0, so the
         # clamp never fires; it stays as a guard.
         chosen = np.minimum(chosen, candidates - 1)
-        return np.sort(times[np.arange(first.size), chosen])
+        kept = bases[np.arange(first.size), chosen].tolist()
+        return np.sort(np.array([scale * base ** inv_shape for base in kept],
+                                dtype=np.float64))
 
     def lifetimes(self, gpu_name: str, region_name: str,
                   launch_hour_local: int) -> np.ndarray:

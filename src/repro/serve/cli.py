@@ -114,8 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-warm", action="store_true",
                        help="skip precomputing the score table at startup")
     serve.add_argument("--request-timeout", type=float, default=30.0,
-                       help="per-request server dispatch timeout in seconds "
-                            "(default: 30)")
+                       help="deadline in seconds on an await in request "
+                            "dispatch; every op computes without "
+                            "suspending, so today it bounds only an "
+                            "injected serve_hang (default: 30)")
     serve.add_argument("--max-connections", type=int, default=64,
                        help="concurrent connection cap; extra connections "
                             "get one 'overloaded' error line (default: 64)")

@@ -6,8 +6,9 @@ per line.  Requests are JSON objects with an ``op``:
 * ``{"op": "answer", "query": {...}}`` — one
   :meth:`~repro.modeling.placement.PlacementQuery.to_params` document;
   responds with the decision's ``to_params()``.
-* ``{"op": "answer_many", "queries": [{...}, ...]}`` — a batch, answered
-  atomically (bit-identical to sequential singles).
+* ``{"op": "answer_many", "queries": [{...}, ...]}`` — a batch of at
+  most :data:`MAX_BATCH_QUERIES` queries, answered atomically
+  (bit-identical to sequential singles).
 * ``{"op": "stats"}`` — service counters.
 * ``{"op": "health"}`` — liveness probe: service uptime, calibration
   epoch, and the transport's connection / in-flight queue depth.
@@ -19,15 +20,22 @@ per line.  Requests are JSON objects with an ``op``:
 Every response line is ``{"ok": true, "result": ...}`` or
 ``{"ok": false, "error": "...", "code": "..."}``; malformed input
 answers an error line instead of killing the connection, so one bad
-client request cannot take down the stream for the rest.  Error codes
+client request cannot take down the stream for the rest.  The one
+exception is a line longer than :data:`MAX_LINE_BYTES`: it is answered
+``bad_request`` and the connection is closed, because the rest of an
+over-long line cannot be told apart from the next request.  A peer that
+resets or drops its connection ends only that connection.  Error codes
 are structural, not prose — clients branch on them:
 
 ``bad_request``
-    The request itself is wrong (unknown op, malformed document).
-    Retrying verbatim can never succeed.
+    The request itself is wrong (unknown op, malformed document, a batch
+    over :data:`MAX_BATCH_QUERIES`, an over-long line).  Retrying
+    verbatim can never succeed.
 ``timeout``
-    Dispatch exceeded :attr:`ServerConfig.request_timeout`.  The server
-    stays up; the client may retry idempotent ops.
+    An await in dispatch outran :attr:`ServerConfig.request_timeout`.
+    Every op answers without suspending, so today only an injected
+    ``serve_hang`` can.  The server stays up; the client may retry
+    idempotent ops.
 ``overloaded``
     The connection cap (:attr:`ServerConfig.max_connections`) is hit;
     the server refuses the connection after answering this one line.
@@ -59,8 +67,14 @@ from repro.errors import ConfigurationError, ReproError
 from repro.modeling.placement import PlacementQuery
 from repro.serve.service import PlacementService
 
-#: Maximum request-line length (a 4096-cell batch fits comfortably).
+#: Maximum request-line length (a MAX_BATCH_QUERIES batch fits
+#: comfortably).
 MAX_LINE_BYTES = 4 * 1024 * 1024
+
+#: Most queries one ``answer_many`` request may carry.  A batch is answered
+#: without a loop turn, so this bounds how long one request can hold every
+#: other connection.
+MAX_BATCH_QUERIES = 4096
 
 #: Ops that are safe to resend verbatim: answering a query twice yields
 #: the same decision, and reads have no side effects.  ``recalibrate``
@@ -77,8 +91,10 @@ class ServerConfig:
     """Hardening knobs for :func:`start_server`.
 
     Args:
-        request_timeout: Seconds one request may spend in dispatch before
-            the server answers a ``timeout`` error line instead.
+        request_timeout: Seconds an await in dispatch may take before the
+            server answers a ``timeout`` error line instead.  Every op
+            computes without suspending (a deadline cannot preempt that),
+            so today this bounds only an injected ``serve_hang``.
         max_connections: Concurrent-connection cap; connection number
             ``max_connections + 1`` is answered with one ``overloaded``
             error line and closed (backpressure, not a silent drop).
@@ -148,8 +164,17 @@ async def handle_request(service: PlacementService,
         decision = await service.answer(query)
         return decision.to_params()
     if operation == "answer_many":
+        documents = request.get("queries")
+        if not isinstance(documents, list):
+            raise ReproError(f"answer_many requires a 'queries' list, got "
+                             f"{type(documents).__name__}")
+        if len(documents) > MAX_BATCH_QUERIES:
+            raise ReproError(
+                f"answer_many takes at most MAX_BATCH_QUERIES "
+                f"({MAX_BATCH_QUERIES}) queries, got {len(documents)}; "
+                f"split the batch")
         queries = [PlacementQuery.from_params(document)
-                   for document in request.get("queries") or []]
+                   for document in documents]
         decisions = await service.answer_many(queries)
         return [decision.to_params() for decision in decisions]
     if operation == "stats":
@@ -174,9 +199,10 @@ async def _dispatch(service: PlacementService, request: Dict[str, Any],
                     state: ServerState) -> Any:
     """One request through the chaos gate and the service.
 
-    The ``serve_hang`` sleep lives *inside* this coroutine so it burns
-    the same :func:`asyncio.wait_for` window a genuinely slow dispatch
-    would — the timeout path under test is the real one.
+    Every op answers without suspending, so the connection handler awaits
+    this directly: no task or timer per request.  The deadline sits on the
+    one await here that can suspend, the injected ``serve_hang`` sleep; an
+    op that comes to await real work must take the deadline the same way.
     """
     if state.hang_monitor:
         fault = state.hang_monitor.tick()
@@ -185,12 +211,19 @@ async def _dispatch(service: PlacementService, request: Dict[str, Any],
                        else chaos.plan.DEFAULT_HANG_SECONDS)
             chaos.log_event("injected_serve_hang", fault=fault.to_entry(),
                             seconds=seconds)
-            await asyncio.sleep(seconds)
+            await asyncio.wait_for(asyncio.sleep(seconds),
+                                   state.config.request_timeout)
     return await handle_request(service, request, state)
 
 
 def _error_response(exc: BaseException, code: str) -> Dict[str, Any]:
     return {"ok": False, "error": str(exc) or repr(exc), "code": code}
+
+
+async def _send(writer: asyncio.StreamWriter,
+                response: Dict[str, Any]) -> None:
+    writer.write(json.dumps(response).encode("utf-8") + b"\n")
+    await writer.drain()
 
 
 async def _handle_connection(service: PlacementService,
@@ -205,8 +238,7 @@ async def _handle_connection(service: PlacementService,
             ReproError(f"connection limit ({state.config.max_connections}) "
                        f"reached; retry after backoff"), "overloaded")
         try:
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
+            await _send(writer, response)
         except (ConnectionError, OSError):  # pragma: no cover - racing peer
             pass
         writer.close()
@@ -214,7 +246,15 @@ async def _handle_connection(service: PlacementService,
     state.writers.add(writer)
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # Over the reader's limit: the rest of the line cannot be
+                # told apart from the next request, so answer and close.
+                await _send(writer, _error_response(ReproError(
+                    f"request line longer than MAX_LINE_BYTES "
+                    f"({MAX_LINE_BYTES} bytes)"), "bad_request"))
+                break
             if not line:
                 break
             text = line.decode("utf-8", errors="replace").strip()
@@ -235,9 +275,7 @@ async def _handle_connection(service: PlacementService,
                 request = json.loads(text)
                 if not isinstance(request, dict):
                     raise ReproError("a request must be a JSON object")
-                result = await asyncio.wait_for(
-                    _dispatch(service, request, state),
-                    state.config.request_timeout)
+                result = await _dispatch(service, request, state)
                 response = {"ok": True, "result": result}
             except asyncio.TimeoutError:
                 response = _error_response(
@@ -250,8 +288,13 @@ async def _handle_connection(service: PlacementService,
                 response = _error_response(exc, "internal")
             finally:
                 state.in_flight -= 1
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
+            await _send(writer, response)
+            # Neither a buffered readline nor an unpaused drain yields, so
+            # without this a pipelining client would hold the loop until
+            # its buffer ran dry.
+            await asyncio.sleep(0)
+    except ConnectionError:
+        pass  # The peer reset or dropped the connection: nobody to answer.
     finally:
         state.writers.discard(writer)
         # No ``wait_closed()`` here: a handler still running when its loop

@@ -21,6 +21,7 @@ import pytest
 from oracles import sampled_lifetimes, sampled_probability, use_reference
 from repro.cloud.revocation import RevocationCellParams
 from repro.errors import ConfigurationError
+from repro.modeling import placement
 from repro.modeling.launch_advisor import LaunchAdvisor
 from repro.modeling.placement import PlacementQuery, ScoreTable
 from repro.scenarios.pool import TransientPool
@@ -94,6 +95,37 @@ def test_table_lifetimes_match_sampling_bytes(case):
             assert (table.lifetimes(gpu, region, hour).tobytes()
                     == sampled_lifetimes(table, gpu, region, hour).tobytes()), \
                 (gpu, region, hour)
+
+
+@pytest.mark.parametrize("case", ("grid-seed0", "recalibrated-samples10"))
+def test_table_bins_survive_array_power_rounding(case, monkeypatch):
+    """The build bins candidates through the array ``np.power``, which may
+    round a few ulp away from the scalar ``**``.  A relative 1e-12 error
+    on every array power, far past any real rounding gap, leaves every
+    lifetime byte for byte: with the committed margin, and with a margin
+    that sends every candidate through the scalar fallback.  A 1e-3 error
+    moves some lifetime, so the binning power is really exercised."""
+    build, _ = LIFETIME_TABLES[case]
+    reference = build()
+    options = [(gpu, region, hour)
+               for gpu, region in reference.available_cells()
+               for hour in range(24)]
+    expected = [sampled_lifetimes(reference, *option).tobytes()
+                for option in options]
+    power = np.power
+
+    def lifetimes(relative_error, margin=placement._BIN_MARGIN_HOURS):
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "power", lambda base, exponent: power(
+                base, exponent) * (1.0 + relative_error))
+            patch.setattr(placement, "_BIN_MARGIN_HOURS", margin)
+            table = build()
+            return [table.lifetimes(*option).tobytes() for option in options]
+
+    assert lifetimes(1e-12) == expected
+    assert lifetimes(1e-12, margin=1.0) == expected
+    assert lifetimes(1e-3, margin=1.0) == expected
+    assert lifetimes(1e-3) != expected
 
 
 def test_answer_is_identical_across_backends_live_and_grid(monkeypatch):

@@ -12,13 +12,16 @@ The serving invariants the ISSUE names:
 """
 
 import asyncio
+import gc
 import json
 import os
 import pathlib
 import signal
 import socket
+import struct
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -29,6 +32,8 @@ from repro.scenarios.pool import TransientPool
 from repro.serve.service import PlacementService
 from repro.serve.transport import (
     IDEMPOTENT_OPS,
+    MAX_BATCH_QUERIES,
+    MAX_LINE_BYTES,
     ServerConfig,
     TransportError,
     drain,
@@ -500,6 +505,205 @@ def test_non_idempotent_ops_get_exactly_one_attempt(monkeypatch):
             await server.wait_closed()
 
     assert asyncio.run(scenario()) == 1  # no second attempt happened
+
+
+# ---------------------------------------------------------------------------
+# Inline dispatch, the batch cap, and connection faults.
+# ---------------------------------------------------------------------------
+async def _until(predicate, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        await asyncio.sleep(0.01)
+
+
+async def _exchange(host, port, documents):
+    """:func:`request` without its client-side ``asyncio.wait_for``."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(b"".join(json.dumps(document).encode() + b"\n"
+                              for document in documents))
+        await writer.drain()
+        return [json.loads(await reader.readline()) for _ in documents]
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def test_sync_ops_answer_without_a_per_request_wait_for(monkeypatch):
+    """No op awaits anything that can suspend, so without a chaos plan
+    the handler awaits dispatch directly: every op still answers when
+    ``asyncio.wait_for`` raises."""
+    import repro.serve.transport as transport
+    from repro.cloud.revocation import RevocationCellParams
+    from repro.telemetry.recalibrate import RecalibrationResult
+
+    def no_wait_for(*_args, **_kwargs):
+        raise AssertionError("asyncio.wait_for on the request path")
+
+    calibration = RecalibrationResult(
+        calibration={("k80", "us-east1"): RevocationCellParams(0.6, 1.2, 6.0)},
+        hourly_weights={"k80": tuple([1.0] * 24)}).to_params()
+    documents = [{"op": "answer", "query": queries(1)[0].to_params()},
+                 {"op": "answer_many",
+                  "queries": [q.to_params() for q in queries(3)]},
+                 {"op": "stats"}, {"op": "health"},
+                 {"op": "recalibrate", "calibration": calibration}]
+
+    async def scenario():
+        server = await start_server(make_service())
+        host, port = serve_address(server)
+        try:
+            monkeypatch.setattr(transport.asyncio, "wait_for", no_wait_for)
+            return await _exchange(host, port, documents)
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    responses = asyncio.run(scenario())
+    assert [response["ok"] for response in responses] == [True] * 5, \
+        responses
+    assert responses[4]["result"]["calibration_epoch"] == 1
+
+
+def test_a_pipelining_connection_does_not_starve_another():
+    """Connection A pipelines 2,000 answers in one write, then B sends
+    ``health``.  A buffered readline and an unpaused drain never yield,
+    so the handler yields a loop turn after each response; without it the
+    server took well over a thousand of A's requests before B's."""
+    line = json.dumps({"op": "answer",
+                       "query": queries(1)[0].to_params()}).encode() + b"\n"
+    pipelined = 2000
+
+    async def scenario():
+        server = await start_server(make_service())
+        host, port = serve_address(server)
+        state = server_state(server)
+        reader_a, writer_a = await asyncio.open_connection(host, port)
+        reader_b, writer_b = await asyncio.open_connection(host, port)
+        try:
+            await _until(lambda: state.connections == 2)
+            writer_a.write(line * pipelined)
+            writer_b.write(b'{"op": "health"}\n')
+            health = json.loads(await reader_b.readline())
+            answers = [json.loads(await reader_a.readline())
+                       for _ in range(pipelined)]
+        finally:
+            writer_a.close()
+            writer_b.close()
+            await _until(lambda: state.connections == 0)
+            server.close()
+            await server.wait_closed()
+        return health, answers
+
+    health, answers = asyncio.run(scenario())
+    assert all(answer["ok"] for answer in answers)
+    assert health["ok"]
+    # requests_seen counts B's own request and every A request before it.
+    taken_from_a = health["result"]["requests_seen"] - 1
+    assert taken_from_a < pipelined // 4
+
+
+def _reset(sock):
+    """Close ``sock`` with a TCP reset instead of an orderly FIN."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_resets_and_over_long_lines_end_only_their_connection():
+    """A peer reset (mid-request, or after the first byte of a 3,000-query
+    reply) and a line over MAX_LINE_BYTES must not escape the handler to
+    the loop's exception handler.  The long line is answered
+    ``bad_request`` naming the limit, each connection is released, and
+    the server keeps serving."""
+    batch = {"op": "answer_many",
+             "queries": [query.to_params() for query in queries(12)] * 250}
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        escaped = []
+        loop.set_exception_handler(
+            lambda _loop, context: escaped.append(context))
+        server = await start_server(make_service())
+        host, port = serve_address(server)
+        state = server_state(server)
+
+        async def connect(payload):
+            sock = socket.socket()
+            sock.setblocking(False)
+            await loop.sock_connect(sock, (host, port))
+            await loop.sock_sendall(sock, payload)
+            return sock
+
+        try:
+            sock = await connect(b'{"op": "sta')
+            await _until(lambda: state.connections == 1)
+            _reset(sock)
+            await _until(lambda: state.connections == 0)
+
+            sock = await connect(json.dumps(batch).encode() + b"\n")
+            assert await loop.sock_recv(sock, 1) == b"{"
+            _reset(sock)
+            await _until(lambda: state.connections == 0)
+
+            sock = await connect(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+            reply = b""
+            while not reply.endswith(b"\n"):
+                chunk = await loop.sock_recv(sock, 65536)
+                assert chunk, f"EOF before a reply line: {reply!r}"
+                reply += chunk
+            sock.close()
+            await _until(lambda: state.connections == 0)
+
+            served = await _exchange(host, port, [{"op": "health"}])
+            gc.collect()  # 3.9/3.10 report a lost task exception at GC
+            await asyncio.sleep(0)
+        finally:
+            server.close()
+            await server.wait_closed()
+        return escaped, json.loads(reply), served[0]
+
+    escaped, long_line, served = asyncio.run(scenario())
+    assert escaped == []
+    assert not long_line["ok"] and long_line["code"] == "bad_request"
+    assert "MAX_LINE_BYTES" in long_line["error"]
+    assert served["ok"] and served["result"]["connections"] == 1
+
+
+def test_answer_many_takes_at_most_max_batch_queries():
+    """A batch answers without a loop turn, so its size is capped; an
+    oversized batch is refused before any query is parsed (the invalid
+    documents here are never looked at), as is a non-list ``queries``."""
+    document = queries(1)[0].to_params()
+    service = make_service()
+    at_cap = asyncio.run(handle_request(
+        service, {"op": "answer_many",
+                  "queries": [document] * MAX_BATCH_QUERIES}))
+    assert len(at_cap) == MAX_BATCH_QUERIES
+
+    async def scenario():
+        server = await start_server(make_service())
+        host, port = serve_address(server)
+        try:
+            return await request(host, port, [
+                {"op": "answer_many",
+                 "queries": [{"bogus": 1}] * (MAX_BATCH_QUERIES + 1)},
+                {"op": "answer_many", "queries": {"gpu_name": "k80"}},
+                {"op": "answer_many"},
+                {"op": "answer_many", "queries": [document]}])
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    over, mapping, missing, fine = asyncio.run(scenario())
+    assert not over["ok"] and over["code"] == "bad_request"
+    assert f"MAX_BATCH_QUERIES ({MAX_BATCH_QUERIES})" in over["error"]
+    assert str(MAX_BATCH_QUERIES + 1) in over["error"]
+    for refused in (mapping, missing):
+        assert not refused["ok"] and refused["code"] == "bad_request"
+        assert "'queries' list" in refused["error"]
+    assert fine["ok"] and len(fine["result"]) == 1
 
 
 def test_retry_rejects_negative_budget():
