@@ -9,7 +9,7 @@ tables one chunk at a time and never hold more than O(block) values:
 * :class:`StreamingHistogram` — fixed-bin counts;
 * :class:`ExactPercentiles` — *exact* order statistics (numpy's
   ``linear`` interpolation, bit-identical to :func:`numpy.percentile`)
-  via sorted runs spilled to disk and a lazy k-way merge;
+  via sorted runs spilled to disk and a blockwise rank selection;
 * :class:`StreamingDescribe` — the three combined into the same summary
   dict shape as :func:`repro.analysis.stats.describe`.
 
@@ -31,7 +31,7 @@ Memory contract
 ---------------
 Peak held state is O(``block_rows``) per accumulator: the re-block
 buffer for moments, one sorted run for percentiles (full runs live on
-disk until :meth:`ExactPercentiles.percentile` merges them back in
+disk until :meth:`ExactPercentiles.percentile` reads them back in
 bounded slices), and a constant-size counts array for histograms.  A
 percentile accumulator makes its temporary directory at its first
 spill, so one that never fills a run (a short job's summary in a fleet
@@ -42,12 +42,12 @@ pins this with tracemalloc: analysis peak stays flat as the fleet grows
 
 from __future__ import annotations
 
-import heapq
+import contextlib
 import math
 import os
 import shutil
 import tempfile
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,8 +91,12 @@ class StreamingMoments:
             return
         low = float(array.min())
         high = float(array.max())
-        self._min = low if self._min is None else min(self._min, low)
-        self._max = high if self._max is None else max(self._max, high)
+        # A NaN wins from either side, as in array.min() / max(), so a
+        # stream holding one summarizes the same at any chunking.
+        if self._min is None or low < self._min or low != low:
+            self._min = low
+        if self._max is None or high > self._max or high != high:
+            self._max = high
         self._pending.append(array)
         self._pending_rows += array.size
         while self._pending_rows >= self.block_rows:
@@ -200,13 +204,24 @@ class ExactPercentiles:
     Incoming values are buffered, sorted, and spilled as raw
     little-endian ``float64`` runs in a private temporary directory
     (headerless, so re-opening a run costs one file handle and nothing
-    else); :meth:`percentile` lazily k-way merges the runs, read in
-    bounded slices, just far enough to pull the order statistics the
-    requested percentiles interpolate between.  The directory is made
-    at the first spill, so a stream shorter than one run never touches
-    the disk.  The interpolation replicates numpy's default ``linear``
-    method operation for operation, so results are bit-identical to
-    ``np.percentile`` over the materialized stream.
+    else).  The directory is made at the first spill, so a stream
+    shorter than one run never touches the disk.
+
+    :meth:`percentile` selects only the ranks the requested percentiles
+    interpolate between.  Without a spilled run it sorts the buffered
+    values and indexes them.  Otherwise it merges the sorted runs and
+    the sorted tail block by block, reading each in bounded slices.  A
+    block takes from every current slice its prefix up to the smallest
+    slice maximum, so no value outside the block is smaller than any
+    value in it: sorted, the block holds exactly the next ranks of the
+    whole sorted stream.  A block that holds no needed rank is only
+    counted; the merge stops after the highest needed rank.  The value
+    at a rank of a sorted multiset is unique, and the interpolation
+    replicates numpy's default ``linear`` method operation for
+    operation, so results are bit-identical to ``np.percentile`` over
+    the materialized stream.  That includes NaN for every percentile
+    once any NaN was seen: NaN sorts last, so the last value of each
+    sorted run and of the sorted tail tells.
     """
 
     def __init__(self, run_rows: int = DEFAULT_BLOCK_ROWS,
@@ -217,6 +232,7 @@ class ExactPercentiles:
         self._own_dir = spool_dir is None
         self._dir = spool_dir
         self._runs: List[str] = []
+        self._runs_have_nan = False
         self._pending: List[np.ndarray] = []
         self._pending_rows = 0
         self._count = 0
@@ -240,7 +256,12 @@ class ExactPercentiles:
         if self._dir is None:
             self._dir = tempfile.mkdtemp(prefix="repro-percentiles-")
         path = os.path.join(self._dir, f"run{len(self._runs):06d}.bin")
-        np.sort(run).astype("<f8").tofile(path)
+        ordered = np.sort(run).astype("<f8")
+        self._runs_have_nan = self._runs_have_nan or math.isnan(ordered[-1])
+        # Written through a file object: numpy 2.4's ndarray.tofile(path)
+        # keeps ~0.2 KB allocated per call, so memory grew with each run.
+        with open(path, "wb") as handle:
+            handle.write(ordered)
         self._runs.append(path)
 
     @property
@@ -248,44 +269,68 @@ class ExactPercentiles:
         return self._count
 
     # ------------------------------------------------------------------
-    def _merged(self) -> Iterator[float]:
-        """The globally sorted value stream, read in bounded slices."""
-        sources: List[Iterable[float]] = []
-        streams = len(self._runs) + (1 if self._pending_rows else 0)
+    def _run_slices(self, handle, path: str, slice_rows: int
+                    ) -> Iterator[np.ndarray]:
+        """One spilled run, read ``slice_rows`` values at a time."""
+        size = os.fstat(handle.fileno()).st_size
+        if size != self.run_rows * 8:
+            raise DataError(f"percentile run {path!r} holds {size} bytes, "
+                            f"not {self.run_rows * 8}")
+        while True:
+            data = handle.read(slice_rows * 8)
+            if not data:
+                return
+            # A raw handle may return short reads; top up to a whole
+            # number of float64 values.
+            while len(data) % 8:
+                more = handle.read(8 - len(data) % 8)
+                if not more:
+                    raise DataError(f"truncated percentile run {path!r}")
+                data += more
+            yield np.frombuffer(data, dtype="<f8")
+
+    def _select(self, tail: np.ndarray, ranks: List[int]) -> Dict[int, float]:
+        """The values at ``ranks`` (ascending) of the sorted stream."""
+        if not self._runs:
+            return {rank: float(tail[rank]) for rank in ranks}
+        streams = len(self._runs) + (1 if tail.size else 0)
         # Slice runs small enough that all resident slices together stay
         # O(run_rows) no matter how many runs were spilled.
-        slice_rows = max(64, self.run_rows // max(1, streams))
-
-        def run_values(path: str) -> Iterator[float]:
+        slice_rows = max(64, self.run_rows // streams)
+        found: Dict[int, float] = {}
+        with contextlib.ExitStack() as handles:
             # buffering=0: the explicit slice reads ARE the buffer; a
             # default BufferedReader would pin 8 KiB per open run.
-            with open(path, "rb", buffering=0) as handle:
-                while True:
-                    data = handle.read(slice_rows * 8)
-                    if not data:
-                        return
-                    # A raw handle may return short reads; top up to a
-                    # whole number of float64 values.
-                    while len(data) % 8:
-                        more = handle.read(8 - len(data) % 8)
-                        if not more:
-                            raise DataError(f"truncated percentile run "
-                                            f"{path!r}")
-                        data += more
-                    yield from np.frombuffer(data, dtype="<f8").tolist()
-
-        def tail_values(tail: np.ndarray) -> Iterator[float]:
-            # Slice like the disk runs: one full .tolist() would pin
-            # O(run_rows) boxed floats for the whole merge.
-            for start in range(0, tail.shape[0], slice_rows):
-                yield from tail[start:start + slice_rows].tolist()
-
-        sources.extend(run_values(path) for path in self._runs)
-        if self._pending_rows:
-            tail = (self._pending[0] if len(self._pending) == 1
-                    else np.concatenate(self._pending))
-            sources.append(tail_values(np.sort(tail)))
-        return heapq.merge(*sources)
+            sources = [self._run_slices(
+                handles.enter_context(open(path, "rb", buffering=0)),
+                path, slice_rows) for path in self._runs]
+            if tail.size:
+                sources.append(iter([tail[start:start + slice_rows] for start
+                                     in range(0, tail.size, slice_rows)]))
+            current = [(next(source), source) for source in sources]
+            position = 0
+            pending = iter(ranks)
+            rank = next(pending)
+            while True:
+                bound = min(values[-1] for values, _source in current)
+                cuts = [int(np.searchsorted(values, bound, side="right"))
+                        for values, _source in current]
+                end = position + sum(cuts)
+                if rank < end:
+                    block = np.concatenate([values[:cut] for (values, _source),
+                                            cut in zip(current, cuts)])
+                    block.sort()
+                    while rank < end:
+                        found[rank] = float(block[rank - position])
+                        rank = next(pending, -1)
+                        if rank < 0:
+                            return found
+                position = end
+                refilled = [(values[cut:] if cut < values.size
+                             else next(source, None), source)
+                            for (values, source), cut in zip(current, cuts)]
+                current = [(values, source) for values, source in refilled
+                           if values is not None]
 
     def percentile(self, percentiles: Sequence[float]) -> List[float]:
         """Exact percentiles (numpy ``linear`` method) of the stream."""
@@ -296,30 +341,31 @@ class ExactPercentiles:
         for q in targets:
             if not 0.0 <= q <= 100.0:
                 raise DataError(f"percentile {q} outside [0, 100]")
+        if not targets:
+            return []
+        tail = (np.concatenate(self._pending) if self._pending_rows
+                else np.empty(0))
+        tail.sort()
+        if self._runs_have_nan or (tail.size and math.isnan(tail[-1])):
+            return [math.nan] * len(targets)
         # The ranks the interpolation needs: floor and ceil of each
         # virtual index (q/100 * (n-1)), exactly as numpy computes them.
         virtuals = [(q / 100.0) * (n - 1) for q in targets]
-        needed: Dict[int, float] = {}
+        needed = set()
         for virtual in virtuals:
             if virtual >= n - 1:
-                needed[n - 1] = math.nan
+                needed.add(n - 1)
             else:
                 lower = int(math.floor(virtual))
-                needed[lower] = math.nan
-                needed[lower + 1] = math.nan
-        highest = max(needed)
-        for rank, value in enumerate(self._merged()):
-            if rank in needed:
-                needed[rank] = value
-            if rank >= highest:
-                break
+                needed.update((lower, lower + 1))
+        values = self._select(tail, sorted(needed))
         results = []
         for virtual in virtuals:
             if virtual >= n - 1:
-                results.append(needed[n - 1])
+                results.append(values[n - 1])
                 continue
             lower = int(math.floor(virtual))
-            a, b = needed[lower], needed[lower + 1]
+            a, b = values[lower], values[lower + 1]
             gamma = virtual - lower
             # numpy's _lerp: the t >= 0.5 branch recomputes from b so
             # that q=100-q symmetry holds to the last bit.

@@ -36,6 +36,29 @@ def _normalize_key(gpu_name: str, region_name: str) -> PoolKey:
     return (get_gpu(gpu_name).name, get_region(region_name).name)
 
 
+def _document(params: Any, what: str) -> Dict[str, Any]:
+    """A JSON document as a dict; anything but an object raises."""
+    if not isinstance(params, Mapping):
+        raise ConfigurationError(
+            f"{what} must be an object, got {type(params).__name__}")
+    return dict(params)
+
+
+def _build(cls, data: Dict[str, Any], what: str):
+    """``cls(**data)``, with an unknown or missing field raising
+    :class:`ConfigurationError` naming it."""
+    fields = dataclasses.fields(cls)
+    unknown = data.keys() - {f.name for f in fields}
+    if unknown:
+        raise ConfigurationError(
+            f"{what} has unknown field {sorted(unknown, key=str)[0]!r}")
+    for f in fields:
+        if (f.name not in data and f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING):
+            raise ConfigurationError(f"{what} is missing field {f.name!r}")
+    return cls(**data)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One training job inside a fleet scenario.
@@ -116,9 +139,18 @@ class JobSpec:
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "JobSpec":
         """Rebuild a job spec from its :meth:`to_params` form."""
-        data = dict(params)
-        data["workers"] = tuple((gpu, region) for gpu, region in data["workers"])
-        return cls(**data)
+        data = _document(params, "job")
+        if "workers" in data:
+            workers = data["workers"]
+            if not isinstance(workers, (list, tuple)) or not all(
+                    isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and all(isinstance(name, str) for name in pair)
+                    for pair in workers):
+                raise ConfigurationError(
+                    f"job {data.get('name')!r} field 'workers' must be a "
+                    f"list of [gpu, region] name pairs, got {workers!r}")
+            data["workers"] = tuple((gpu, region) for gpu, region in workers)
+        return _build(cls, data, "job")
 
 
 @dataclass(frozen=True)
@@ -286,14 +318,31 @@ class ScenarioSpec:
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "ScenarioSpec":
         """Rebuild a scenario spec from its :meth:`to_params` form."""
-        data = dict(params)
-        data["jobs"] = tuple(JobSpec.from_params(job) for job in data["jobs"])
-        capacity: Dict[PoolKey, int] = {}
-        for key, count in data["pool_capacity"].items():
-            gpu, _, region = key.partition("/")
-            capacity[(gpu, region)] = int(count)
-        data["pool_capacity"] = capacity
-        return cls(**data)
+        data = _document(params, "scenario")
+        if "jobs" in data:
+            if not isinstance(data["jobs"], (list, tuple)):
+                raise ConfigurationError(
+                    f"scenario field 'jobs' must be a list of job objects, "
+                    f"got {data['jobs']!r}")
+            data["jobs"] = tuple(JobSpec.from_params(job)
+                                 for job in data["jobs"])
+        if "pool_capacity" in data:
+            pools = data["pool_capacity"]
+            if not isinstance(pools, Mapping):
+                raise ConfigurationError(
+                    f"scenario field 'pool_capacity' must be an object "
+                    f"mapping 'gpu/region' to a count, got {pools!r}")
+            capacity: Dict[PoolKey, int] = {}
+            for key, count in pools.items():
+                gpu, _, region = str(key).partition("/")
+                try:
+                    capacity[(gpu, region)] = int(count)
+                except (TypeError, ValueError):
+                    raise ConfigurationError(
+                        f"scenario field 'pool_capacity' needs an integer "
+                        f"count for {key!r}, got {count!r}") from None
+            data["pool_capacity"] = capacity
+        return _build(cls, data, "scenario")
 
     def describe(self) -> str:
         """Short human-readable summary for CLI listings."""

@@ -95,6 +95,15 @@ MIN_ANCHOR_CHUNKS = 30
 #: Lifetime-integration grid resolution (points across the 24-hour cap).
 _GRID_POINTS = 960
 
+#: Grid cell width and midpoints (hours) of the lifetime integration.
+_DT = MAX_TRANSIENT_LIFETIME_HOURS / _GRID_POINTS
+_GRID = (np.arange(_GRID_POINTS) + 0.5) * _DT
+
+#: ``hour_bin(launch_bin + 0.5 + t)`` for each launch bin (row) and grid
+#: point ``t`` (column).
+_GRID_HOUR_BINS = np.stack([hour_bins(float(launch_bin) + 0.5 + _GRID)
+                            for launch_bin in range(24)])
+
 
 @dataclass
 class RecalibrationResult:
@@ -205,6 +214,20 @@ def _weibull_init(lifetimes: np.ndarray) -> Tuple[float, float]:
     return shape, min(max(scale, 0.05), 200.0)
 
 
+def _grid_density(shape: float, scale: float, cap_mass: float) -> np.ndarray:
+    """The Weibull density on the integration grid, divided by ``cap_mass``."""
+    return ((shape / scale) * (_GRID / scale) ** (shape - 1.0)
+            * np.exp(-((_GRID / scale) ** shape))) / cap_mass
+
+
+def _tilt_normalizers(density: np.ndarray,
+                      tilt_matrix: np.ndarray) -> List[float]:
+    """``Z(launch)`` for each row of ``tilt_matrix``: the grid integral of
+    ``density`` times that launch bin's tilt (see
+    :func:`_fit_truncated_weibull` for why this is exact)."""
+    return ((density * tilt_matrix).sum(axis=1) * _DT).tolist()
+
+
 def _fit_truncated_weibull(lifetimes: np.ndarray,
                            launch_bins: Optional[np.ndarray] = None,
                            tilt: Optional[np.ndarray] = None
@@ -216,23 +239,29 @@ def _fit_truncated_weibull(lifetimes: np.ndarray,
     ``f(t) * tilt[bin(launch + t)] / Z(launch)`` — the density the
     hour-preferring resampler actually emits — with ``Z`` integrated on a
     fixed grid per distinct launch bin.
+
+    The tilt rows of the distinct launch bins are stacked once per fit
+    into a C-contiguous (bins x grid) matrix, and each likelihood
+    evaluation sums all of them in one ``sum(axis=1)``.  A reduction
+    along the contiguous last axis runs numpy's pairwise add over each
+    row, the same inner loop a 1-D ``.sum()`` runs on that row alone, so
+    every normalizer keeps its bits.  A matrix product (``@``, ``dot``,
+    ``einsum``) would sum in a different order; Nelder-Mead follows every
+    bit of the likelihood, so that would move the fitted parameters.
     """
     from scipy.optimize import minimize
 
     cap = MAX_TRANSIENT_LIFETIME_HOURS
-    grid = (np.arange(_GRID_POINTS) + 0.5) * (cap / _GRID_POINTS)
-    dt = cap / _GRID_POINTS
     if tilt is not None:
-        unique_bins = np.unique(launch_bins)
-        counts = {int(b): int((launch_bins == b).sum()) for b in unique_bins}
-        # tilt value at hour(launch + t) for every grid point / launch bin.
-        tilt_rows = {int(b): np.asarray(tilt, dtype=np.float64)[
-            hour_bins(float(b) + 0.5 + grid)] for b in unique_bins}
+        tilt = np.asarray(tilt, dtype=np.float64)
+        unique_bins, counts = np.unique(launch_bins, return_counts=True)
+        counts = counts.tolist()
+        # tilt value at hour(launch + t) for every launch bin / grid point.
+        tilt_matrix = tilt[_GRID_HOUR_BINS[unique_bins]]
         log_tilt_obs = float(np.log(np.maximum(
-            np.asarray(tilt, dtype=np.float64)[
-                hour_bins(launch_bins + 0.5 + lifetimes)], 1e-12)).sum())
+            tilt[hour_bins(launch_bins + 0.5 + lifetimes)], 1e-12)).sum())
     else:
-        counts, tilt_rows, log_tilt_obs = {}, {}, 0.0
+        counts, tilt_matrix, log_tilt_obs = [], None, 0.0
 
     n = len(lifetimes)
     log_t = np.log(lifetimes)
@@ -247,12 +276,11 @@ def _fit_truncated_weibull(lifetimes: np.ndarray,
         if cap_mass <= 1e-12:
             return 1e18
         value = -(log_f + log_tilt_obs) + n * math.log(cap_mass)
-        if tilt_rows:
-            density = ((shape / scale) * (grid / scale) ** (shape - 1.0)
-                       * np.exp(-((grid / scale) ** shape))) / cap_mass
-            for launch_bin, row in tilt_rows.items():
-                normalizer = float((density * row).sum() * dt)
-                value += counts[launch_bin] * math.log(max(normalizer, 1e-300))
+        if tilt_matrix is not None:
+            normalizers = _tilt_normalizers(
+                _grid_density(shape, scale, cap_mass), tilt_matrix)
+            for count, normalizer in zip(counts, normalizers):
+                value += count * math.log(max(normalizer, 1e-300))
         return float(value)
 
     shape0, scale0 = _weibull_init(lifetimes)
@@ -269,15 +297,12 @@ def _base_hour_distribution(shape: float, scale: float,
                             launch_bin: int) -> np.ndarray:
     """24-bin distribution of ``hour(launch + T)`` under the *untilted*
     truncated Weibull — the exposure the weight estimate divides by."""
-    cap = MAX_TRANSIENT_LIFETIME_HOURS
-    grid = (np.arange(_GRID_POINTS) + 0.5) * (cap / _GRID_POINTS)
-    dt = cap / _GRID_POINTS
-    cap_mass = 1.0 - math.exp(-((cap / scale) ** shape))
-    density = ((shape / scale) * (grid / scale) ** (shape - 1.0)
-               * np.exp(-((grid / scale) ** shape))) / max(cap_mass, 1e-12)
-    bins = hour_bins(float(launch_bin) + 0.5 + grid)
-    distribution = np.zeros(24)
-    np.add.at(distribution, bins, density * dt)
+    cap_mass = 1.0 - math.exp(-((MAX_TRANSIENT_LIFETIME_HOURS / scale) ** shape))
+    density = _grid_density(shape, scale, max(cap_mass, 1e-12))
+    # bincount adds each weight to its bin in input order, as np.add.at
+    # into zeros would, so the sums keep their bits.
+    distribution = np.bincount(_GRID_HOUR_BINS[launch_bin],
+                               weights=density * _DT, minlength=24)
     total = distribution.sum()
     return distribution / total if total > 0 else distribution
 
@@ -431,7 +456,7 @@ def recalibrate(reader: TelemetryReader, *,
             if not mask.any():
                 continue
             worker = chunk[mask, 0].astype(np.int64)
-            gpu_names = np.asarray([str(gpus[w]) for w in worker])
+            gpu_names = np.asarray(gpus)[worker]
             durations = chunk[mask, 2] - chunk[mask, 1]
             step_times = durations / steps[mask]
             for gpu in np.unique(gpu_names):

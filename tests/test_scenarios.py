@@ -87,6 +87,24 @@ def test_scenario_spec_validation():
         tiny_scenario(placement="no-such-mode")
 
 
+def _job_with_integer_workers():
+    params = tiny_scenario().to_params()
+    params["jobs"][0]["workers"] = 3
+    return params
+
+
+@pytest.mark.parametrize("document, field", [
+    ([], "object"),
+    ({"name": "x", "jobs": "notalist"}, "'jobs'"),
+    (_job_with_integer_workers(), "'workers'"),
+    (dict(tiny_scenario().to_params(), pool_capacity="x"), "'pool_capacity'"),
+], ids=["not-an-object", "jobs-not-a-list", "workers-an-integer",
+        "pool-capacity-a-string"])
+def test_scenario_from_params_raises_typed_errors(document, field):
+    with pytest.raises(ConfigurationError, match=field):
+        ScenarioSpec.from_params(document)
+
+
 def test_default_scenario_params_emit_no_new_keys():
     """The cold/static defaults must serialize exactly as before the warm
     pool and placement landed: the canonical JSON keys derived cell seeds

@@ -10,11 +10,13 @@ The two contracts the out-of-core telemetry analysis rides on:
   exact, and mean/std match the numpy reductions to float precision.
 """
 
+import math
 import os
 import tempfile
 
 import numpy as np
 import pytest
+from oracles import heap_merge_percentiles
 
 from repro.analysis import (
     ExactPercentiles,
@@ -70,6 +72,17 @@ def test_moments_match_numpy_reductions(gamma_values):
     assert moments.std == pytest.approx(gamma_values.std(ddof=1), rel=1e-10)
 
 
+@pytest.mark.parametrize("chunks", [[[1.0, np.nan, 3.0]],
+                                    [[1.0], [np.nan, 3.0]],
+                                    [[np.nan], [1.0, 3.0]],
+                                    [[1.0, 3.0], [np.nan]]])
+def test_moments_min_max_of_a_stream_with_nan_are_nan(chunks):
+    moments = StreamingMoments()
+    for chunk in chunks:
+        moments.update(chunk)
+    assert math.isnan(moments.minimum) and math.isnan(moments.maximum)
+
+
 def test_moments_edge_cases():
     moments = StreamingMoments()
     moments.update([])  # empty chunks are fine ...
@@ -107,6 +120,7 @@ def test_percentiles_spill_and_cleanup(gamma_values, tmp_path):
     assert all(os.path.exists(path) for path in accumulator._runs)
     got = accumulator.percentile([50.0, 95.0])
     assert got == list(np.percentile(gamma_values, [50.0, 95.0]))
+    assert accumulator.percentile([]) == []
     accumulator.close()
     assert not os.path.isdir(spool_dir)
     # A caller-owned spool directory is left alone on close.
@@ -131,6 +145,87 @@ def test_percentiles_spill_only_past_one_run(n, monkeypatch):
         assert len(accumulator._runs) == n // DEFAULT_BLOCK_ROWS
         got = accumulator.percentile(quantiles)
     assert got == list(np.percentile(values, quantiles))
+
+
+QUANTILES = [0.0, 0.1, 1.0, 25.0, 49.99, 50.0, 75.0, 95.0, 99.9, 100.0]
+
+
+def _percentile_cases():
+    rng = np.random.default_rng(20)
+    # Few distinct values: long duplicate runs straddle run and slice
+    # boundaries.
+    duplicates = rng.integers(0, 7, size=2_000).astype(np.float64)
+    yield "duplicates-run1", duplicates[:300], 1
+    yield "duplicates-run2", duplicates[:301], 2
+    yield "duplicates-run3", duplicates, 3
+    # 4 runs + a tail: 64-value slices, each run read in four.
+    yield "duplicates-sliced", duplicates[:1_100], 256
+    # 70 runs + a tail: run_rows // streams is 1, so the 64-value slice
+    # floor binds.
+    yield "slice-floor", rng.normal(size=100 * 70 + 37), 100
+    yield "runs-only", rng.gamma(2.0, 1.5, size=4_096 * 3), 4_096
+    yield "constant", np.full(1_000, 2.5), 16
+    yield "ties-at-ranks", np.repeat(rng.normal(size=40), 25), 64
+
+
+@pytest.mark.parametrize("name, values, run_rows",
+                         list(_percentile_cases()),
+                         ids=[case[0] for case in _percentile_cases()])
+def test_percentile_selection_matches_heap_merge_bitwise(name, values,
+                                                         run_rows):
+    with ExactPercentiles(run_rows=run_rows) as accumulator:
+        for chunk in _chunked(values, [37] * (len(values) // 37)
+                              + [len(values) % 37]):
+            accumulator.update(chunk)
+        got = np.array(accumulator.percentile(QUANTILES))
+        oracle = np.array(heap_merge_percentiles(accumulator, QUANTILES))
+    assert got.tobytes() == oracle.tobytes()
+    assert got.tobytes() == np.percentile(values, QUANTILES).tobytes()
+
+
+@pytest.mark.parametrize("run_rows", [1, 4, 16, 4096])
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+def test_percentiles_of_a_stream_with_nan_are_nan(run_rows, where):
+    values = np.arange(12.0)
+    values[{"start": 0, "middle": 6, "end": 11}[where]] = np.nan
+    values[{"start": 1, "middle": 5, "end": 10}[where]] = np.nan
+    quantiles = [0.0, 50.0, 95.0, 100.0]
+    assert np.isnan(np.percentile(values, quantiles)).all()
+    with ExactPercentiles(run_rows=run_rows) as accumulator:
+        for chunk in _chunked(values, [5, 7]):
+            accumulator.update(chunk)
+        got = accumulator.percentile(quantiles)
+    assert all(math.isnan(value) for value in got)
+
+
+def _open_paths_under(directory):
+    fd_dir = "/proc/self/fd"
+    paths = []
+    for fd in os.listdir(fd_dir):
+        try:
+            paths.append(os.readlink(os.path.join(fd_dir, fd)))
+        except OSError:  # closed since listdir
+            continue
+    return [path for path in paths if path.startswith(directory)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+@pytest.mark.parametrize("cut_bytes", [3, 8])
+def test_truncated_run_raises_naming_it_and_closes_every_run(cut_bytes):
+    values = np.random.default_rng(3).normal(size=8 * 5 + 3)
+    with ExactPercentiles(run_rows=8) as accumulator:
+        accumulator.update(values)
+        spool = os.path.realpath(accumulator._dir)
+        assert accumulator.percentile([0.0, 100.0]) == \
+            list(np.percentile(values, [0.0, 100.0]))
+        assert _open_paths_under(spool) == []
+        victim = accumulator._runs[2]
+        with open(victim, "r+b") as handle:
+            handle.truncate(8 * 8 - cut_bytes)
+        with pytest.raises(DataError, match=os.path.basename(victim)):
+            accumulator.percentile([50.0])
+        assert _open_paths_under(spool) == []
 
 
 def test_percentiles_validation():

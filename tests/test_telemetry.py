@@ -14,7 +14,9 @@ Covers the three tentpole contracts of :mod:`repro.telemetry`:
 import asyncio
 import errno
 import hashlib
+import importlib
 import json
+import math
 import multiprocessing
 import os
 import struct
@@ -24,7 +26,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import (add_at_hour_distribution, per_bin_normalizers,
+                     per_row_normalizers)
 
+from repro.cloud.revocation import MAX_TRANSIENT_LIFETIME_HOURS
 from repro.errors import ConfigurationError, DataError, SimulationError
 from repro.modeling.placement import PlacementQuery
 from repro.scenarios.catalog import get_scenario
@@ -512,6 +517,57 @@ def test_calibration_scenario_validation():
         calibration_scenario(total_steps=150)
     with pytest.raises(ConfigurationError):
         calibration_scenario(stagger_hours=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# The tilted likelihood: batched sums == the per-row loops they replaced,
+# bit for bit (compared on this machine, not against a frozen refit).
+# ---------------------------------------------------------------------------
+REFIT = importlib.import_module("repro.telemetry.recalibrate")
+WEIBULL_SHAPES = (0.35, 0.8, 1.0, 1.7, 3.2)
+WEIBULL_SCALES = (0.4, 2.5, 9.0, 40.0)
+
+
+def _tilt_profile(seed):
+    tilt = np.random.default_rng(seed).uniform(0.0, 2.0, size=24)
+    tilt[[3, 4]] = 0.0  # forbidden hours
+    return tilt
+
+
+@pytest.mark.parametrize("shape", WEIBULL_SHAPES)
+def test_tilt_normalizers_match_per_row_sums(shape):
+    tilt = _tilt_profile(int(shape * 100))
+    every_bin = np.arange(24)
+    for scale in WEIBULL_SCALES:
+        cap_mass = 1.0 - math.exp(-((MAX_TRANSIENT_LIFETIME_HOURS / scale)
+                                    ** shape))
+        batched = REFIT._tilt_normalizers(
+            REFIT._grid_density(shape, scale, cap_mass),
+            tilt[REFIT._GRID_HOUR_BINS[every_bin]])
+        oracle = per_bin_normalizers(shape, scale, tilt, every_bin)
+        assert np.array(batched).tobytes() == np.array(oracle).tobytes()
+
+
+def test_tilted_fit_matches_the_per_row_likelihood(monkeypatch):
+    rng = np.random.default_rng(8)
+    lifetimes = rng.weibull(1.3, size=600) * 7.0
+    lifetimes = lifetimes[lifetimes < MAX_TRANSIENT_LIFETIME_HOURS]
+    launch_bins = rng.integers(0, 24, size=lifetimes.size)
+    launch_bins[launch_bins == 13] = 12  # not every launch bin occurs
+    tilt = _tilt_profile(8)
+    batched = REFIT._fit_truncated_weibull(lifetimes, launch_bins, tilt)
+    monkeypatch.setattr(REFIT, "_tilt_normalizers", per_row_normalizers)
+    assert REFIT._fit_truncated_weibull(lifetimes, launch_bins,
+                                        tilt) == batched
+
+
+def test_hour_distribution_matches_add_at():
+    for shape in WEIBULL_SHAPES:
+        for scale in WEIBULL_SCALES:
+            for launch_bin in range(24):
+                got = REFIT._base_hour_distribution(shape, scale, launch_bin)
+                oracle = add_at_hour_distribution(shape, scale, launch_bin)
+                assert got.tobytes() == oracle.tobytes()
 
 
 # ---------------------------------------------------------------------------
