@@ -34,6 +34,7 @@ spend their time in the RNG, not in Python bookkeeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -42,10 +43,15 @@ import numpy as np
 from repro.cloud.gpus import get_gpu
 from repro.cloud.regions import get_region
 from repro.errors import ConfigurationError
+from repro.schema import check, declare, real
 from repro.units import hour_bins, wrap_hour
 
 #: Maximum lifetime of a transient (preemptible) server, in hours.
 MAX_TRANSIENT_LIFETIME_HOURS = 24.0
+
+#: Log ranges of a cell's Weibull shape and scale (hours); the refit clamps its fit into them.
+WEIBULL_LOG_SHAPE_RANGE = (-3.0, 3.0)
+WEIBULL_LOG_SCALE_RANGE = (-4.0, 6.0)
 
 
 @dataclass(frozen=True)
@@ -59,15 +65,12 @@ class RevocationCellParams:
         weibull_scale_hours: Scale (hours) of the conditional Weibull.
     """
 
-    p_revoke_24h: float
-    weibull_shape: float
-    weibull_scale_hours: float
+    p_revoke_24h: float = declare(real(ge=0.0, le=1.0))
+    weibull_shape: float = declare(real(*map(math.exp, WEIBULL_LOG_SHAPE_RANGE)))
+    weibull_scale_hours: float = declare(real(*map(math.exp, WEIBULL_LOG_SCALE_RANGE)))
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p_revoke_24h <= 1.0:
-            raise ConfigurationError("p_revoke_24h must be a probability")
-        if self.weibull_shape <= 0 or self.weibull_scale_hours <= 0:
-            raise ConfigurationError("Weibull parameters must be positive")
+        check(self, "revocation cell")
 
 
 #: Calibrated parameters for every ``(gpu, region)`` cell of Table V.

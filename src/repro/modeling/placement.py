@@ -58,10 +58,7 @@ they did under the sampler.
 
 from __future__ import annotations
 
-import math
-import numbers
 import zlib
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -74,6 +71,7 @@ from repro.cloud.revocation import (
     RevocationModel,
 )
 from repro.errors import ConfigurationError
+from repro.schema import check, declare, integer, optional, parse, real, sequence, text
 from repro.units import hour_bin, hour_bins, wrap_hour
 
 #: Candidate revocation times per Monte-Carlo draw.  Mirrors the
@@ -91,35 +89,6 @@ _DRAWS_PER_SAMPLE = DEFAULT_CANDIDATES + 2
 #: from the scalar power (see :meth:`ScoreTable._build_option`).  The
 #: array and scalar powers differ by a few ulp, ≈1e-14 h at these clocks.
 _BIN_MARGIN_HOURS = 1e-6
-
-
-def _real(value: Any, field_name: str) -> float:
-    """``value`` as a float.  Any real number passes, numpy scalars
-    included (fleets pass simulator hours); a bool or a string does not.
-    Plain floats and ints skip the ``numbers.Real`` check: an ABC
-    ``isinstance`` is slow, and the service builds a query per request."""
-    if type(value) not in (float, int) and (
-            isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ConfigurationError(
-            f"{field_name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _finite_hour(hour: Any, field_name: str) -> float:
-    """``hour`` as a float; NaN and infinities would wrap to hour 0."""
-    value = _real(hour, field_name)
-    if not math.isfinite(value):
-        raise ConfigurationError(
-            f"{field_name} must be finite, got {hour!r}")
-    return value
-
-
-def _items(value: Any, field_name: str) -> Tuple[Any, ...]:
-    """``value`` as a tuple; a bare string would split into characters."""
-    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
-        raise ConfigurationError(
-            f"{field_name} must be a list, got {value!r}")
-    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -151,61 +120,21 @@ class PlacementQuery:
             per slot of capacity) added to the revocation probability.
     """
 
-    gpu_name: str
-    duration_hours: float
-    num_workers: int = 1
-    region_names: Optional[Tuple[str, ...]] = None
-    launch_hours: Optional[Tuple[int, ...]] = None
-    hour_of_day_utc: Optional[float] = None
-    queue_weight: float = 0.5
+    gpu_name: str = declare(text)
+    duration_hours: float = declare(real(gt=0.0, convert=float))
+    num_workers: int = declare(integer(1, convert=int), default=1)
+    region_names: Optional[Tuple[str, ...]] = declare(optional(sequence(text, low=1)), default=None)
+    launch_hours: Optional[Tuple[int, ...]] = declare(
+        optional(sequence(real(convert=hour_bin), low=1)), default=None)
+    hour_of_day_utc: Optional[float] = declare(optional(real(convert=wrap_hour)), default=None)
+    queue_weight: float = declare(real(ge=0.0, convert=float), default=0.5)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.gpu_name, str):
-            raise ConfigurationError(
-                f"gpu_name must be a string, got {self.gpu_name!r}")
-        duration = _real(self.duration_hours, "duration_hours")
-        if not 0 < duration < math.inf:
-            raise ConfigurationError(
-                f"duration_hours must be positive and finite, got "
-                f"{self.duration_hours!r}")
-        if type(self.num_workers) is not int and (
-                isinstance(self.num_workers, bool)
-                or not isinstance(self.num_workers, numbers.Integral)):
-            raise ConfigurationError(
-                f"num_workers must be an integer, got {self.num_workers!r}")
-        if self.num_workers < 1:
-            raise ConfigurationError("num_workers must be >= 1")
-        queue_weight = _real(self.queue_weight, "queue_weight")
-        if queue_weight < 0:
-            raise ConfigurationError("queue_weight must be non-negative")
+        check(self, "placement-query")
         if (self.launch_hours is None) == (self.hour_of_day_utc is None):
             raise ConfigurationError(
                 "a placement query needs exactly one of launch_hours (grid "
                 "mode) or hour_of_day_utc (live mode)")
-        if self.region_names is not None:
-            names = _items(self.region_names, "region_names")
-            if not names:
-                raise ConfigurationError(
-                    "region_names must name at least one candidate region")
-            for name in names:
-                if not isinstance(name, str):
-                    raise ConfigurationError(
-                        f"region_names must hold strings, got {name!r}")
-            object.__setattr__(self, "region_names", names)
-        if self.launch_hours is not None:
-            hours = tuple(hour_bin(_finite_hour(hour, "launch_hours"))
-                          for hour in _items(self.launch_hours,
-                                             "launch_hours"))
-            if not hours:
-                raise ConfigurationError(
-                    "launch_hours must name at least one candidate hour")
-            object.__setattr__(self, "launch_hours", hours)
-        else:
-            object.__setattr__(self, "hour_of_day_utc", wrap_hour(
-                _finite_hour(self.hour_of_day_utc, "hour_of_day_utc")))
-        object.__setattr__(self, "duration_hours", duration)
-        object.__setattr__(self, "num_workers", int(self.num_workers))
-        object.__setattr__(self, "queue_weight", queue_weight)
 
     def to_params(self) -> Dict[str, Any]:
         """A JSON-encodable parameter dict (defaults omitted)."""
@@ -226,20 +155,7 @@ class PlacementQuery:
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "PlacementQuery":
         """Rebuild a query from :meth:`to_params` output (wire format)."""
-        if not isinstance(params, Mapping):
-            raise ConfigurationError(
-                f"a placement query must be an object, got {params!r}")
-        known = {"gpu_name", "duration_hours", "num_workers", "region_names",
-                 "launch_hours", "hour_of_day_utc", "queue_weight"}
-        unknown = set(params) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown placement-query fields: {sorted(unknown)}")
-        missing = {"gpu_name", "duration_hours"} - set(params)
-        if missing:
-            raise ConfigurationError(
-                f"missing placement-query fields: {sorted(missing)}")
-        return cls(**params)
+        return parse(cls, params, "placement-query")
 
 
 @dataclass(frozen=True)

@@ -94,11 +94,12 @@ from repro.cloud.regions import get_region
 from repro.cloud.revocation import RevocationModel
 from repro.cloud.revocation import RevocationOutcome
 from repro.cmdare.controller import CMDareController, ControllerConfig
-from repro.errors import CapacityError, ConfigurationError, SimulationError
+from repro.errors import CapacityError, SimulationError
 from repro.modeling.launch_advisor import LaunchAdvisor
 from repro.modeling.placement import PlacementQuery
 from repro.scenarios.pool import DENIED, QUEUED, PoolKey, ReplacementTicket, TransientPool
-from repro.scenarios.spec import JobSpec, ScenarioSpec
+from repro.scenarios.spec import PLACEMENTS, JobSpec, ScenarioSpec
+from repro.schema import choice, real
 from repro.simulation.engine import Simulator
 from repro.simulation.rng import RandomStreams
 from repro.sweeps import SweepCell, SweepRunner, SweepSpec, SweepResult
@@ -125,13 +126,12 @@ PLACEMENT_HORIZON_HOURS = 2.0
 #: advisor default: placement ranks a handful of cells, not a 6x24 grid).
 PLACEMENT_SAMPLES = 200
 
-#: Fleet sweep axes beyond ``replicate`` that :func:`apply_fleet_axes`
-#: knows how to apply to a scenario.
-FLEET_AXES = ("pool_size", "queue_policy", "warm_seconds", "launch_hour",
-              "placement")
-
-#: Valid ``queue_policy`` axis values.
-QUEUE_POLICIES = ("deny", "queue")
+#: The fleet sweep axes :func:`apply_fleet_axes` applies beyond ``replicate``, with their kinds.
+FLEET_AXES = {"pool_size": real(gt=0.0, convert=float),
+              "queue_policy": choice("deny", "queue"),
+              "warm_seconds": real(ge=0.0, convert=float),
+              "launch_hour": real(convert=float),
+              "placement": choice(*PLACEMENTS)}
 
 class FleetJobController(CMDareController):
     """A CM-DARE controller whose replacements contend on a shared pool.
@@ -772,28 +772,21 @@ def apply_fleet_axes(scenario: ScenarioSpec,
     * ``launch_hour`` — fleet epoch (UTC hour at simulation time zero);
     * ``placement`` — ``"static"`` / ``"adaptive"`` placement mode.
     """
+    axes = {name: kind(params[name], name) for name, kind in FLEET_AXES.items() if name in params}
     derived = scenario
-    if "pool_size" in params:
-        factor = float(params["pool_size"])
-        if factor <= 0:
-            raise ConfigurationError("pool_size factors must be positive")
+    if "pool_size" in axes:
         demand = scenario.initial_demand()
         capacity = {key: max(demand.get(key, 0),
-                             int(math.ceil(count * factor)), 1)
+                             int(math.ceil(count * axes["pool_size"])), 1)
                     for key, count in scenario.pool_capacity.items()}
         derived = dataclass_replace(derived, pool_capacity=capacity)
-    if "queue_policy" in params:
-        policy = params["queue_policy"]
-        if policy not in QUEUE_POLICIES:
-            known = ", ".join(QUEUE_POLICIES)
-            raise ConfigurationError(
-                f"unknown queue_policy {policy!r}; known: {known}")
-        queue = policy == "queue"
+    if "queue_policy" in axes:
+        queue = axes["queue_policy"] == "queue"
         derived = dataclass_replace(derived, jobs=tuple(
             dataclass_replace(job, queue_replacements=queue)
             for job in derived.jobs))
-    if "warm_seconds" in params:
-        warm_seconds = float(params["warm_seconds"])
+    if "warm_seconds" in axes:
+        warm_seconds = axes["warm_seconds"]
         warm_capacity = derived.warm_capacity
         if warm_seconds > 0 and warm_capacity == 0:
             warm_capacity = max(derived.pool_capacity.values())
@@ -801,11 +794,10 @@ def apply_fleet_axes(scenario: ScenarioSpec,
             derived, warm_seconds=warm_seconds,
             warm_capacity=warm_capacity if warm_seconds > 0
             else derived.warm_capacity)
-    if "launch_hour" in params:
-        derived = dataclass_replace(
-            derived, epoch_hour_utc=wrap_hour(float(params["launch_hour"])))
-    if "placement" in params:
-        derived = dataclass_replace(derived, placement=params["placement"])
+    if "launch_hour" in axes:
+        derived = dataclass_replace(derived, epoch_hour_utc=wrap_hour(axes["launch_hour"]))
+    if "placement" in axes:
+        derived = dataclass_replace(derived, placement=axes["placement"])
     return derived
 
 
@@ -859,12 +851,9 @@ def build_fleet_spec(scenario: ScenarioSpec, replicates: int = 2, *,
                          ("placement", placements)):
         if values is None:
             continue
-        values = [float(value) if name in ("pool_size", "warm_seconds",
-                                           "launch_hour") else value
-                  for value in values]
         for value in values:
             apply_fleet_axes(scenario, {name: value})
-        axes[name] = values
+        axes[name] = [FLEET_AXES[name](value, name) for value in values]
     axes["replicate"] = list(range(int(replicates)))
     return SweepSpec(f"fleet_{scenario.name}", axes=axes,
                      fixed={"scenario": scenario.to_params()})

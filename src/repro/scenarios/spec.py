@@ -12,12 +12,14 @@ and serial/parallel bit-identity all come for free.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.cloud.gpus import get_gpu
 from repro.cloud.regions import get_region
 from repro.errors import ConfigurationError
+from repro.schema import (Invalid, check, choice, declare, flag, integer, mapping, nested,
+                          nonempty_text, optional, parse, real, sequence, text)
 from repro.training.cluster import ClusterSpec, WorkerSpec
 from repro.units import wrap_hour
 
@@ -29,34 +31,16 @@ PoolKey = Tuple[str, str]
 #: advisor pick regions from live availability and the revocation
 #: calibration, at launch and on replacement denial.
 PLACEMENTS = ("static", "adaptive")
+_PAIR = sequence(text, low=2, high=2)
 
 
-def _normalize_key(gpu_name: str, region_name: str) -> PoolKey:
-    """Canonical ``(gpu, region)`` key, validating both names."""
-    return (get_gpu(gpu_name).name, get_region(region_name).name)
-
-
-def _document(params: Any, what: str) -> Dict[str, Any]:
-    """A JSON document as a dict; anything but an object raises."""
-    if not isinstance(params, Mapping):
-        raise ConfigurationError(
-            f"{what} must be an object, got {type(params).__name__}")
-    return dict(params)
-
-
-def _build(cls, data: Dict[str, Any], what: str):
-    """``cls(**data)``, with an unknown or missing field raising
-    :class:`ConfigurationError` naming it."""
-    fields = dataclasses.fields(cls)
-    unknown = data.keys() - {f.name for f in fields}
-    if unknown:
-        raise ConfigurationError(
-            f"{what} has unknown field {sorted(unknown, key=str)[0]!r}")
-    for f in fields:
-        if (f.name not in data and f.default is dataclasses.MISSING
-                and f.default_factory is dataclasses.MISSING):
-            raise ConfigurationError(f"{what} is missing field {f.name!r}")
-    return cls(**data)
+def pool_key(value: Any, where: str) -> PoolKey:
+    """A ``(gpu, region)`` pair, or its ``"gpu/region"`` spelling, as canonical catalog names."""
+    gpu, region = _PAIR(value.split("/") if isinstance(value, str) else value, where)
+    try:
+        return (get_gpu(gpu).name, get_region(region).name)
+    except ConfigurationError as exc:
+        raise Invalid(where, "", f": {exc}", "") from None
 
 
 @dataclass(frozen=True)
@@ -84,30 +68,20 @@ class JobSpec:
         steps_per_event: Simulation granularity (steps per chunk event).
     """
 
-    name: str
-    model_name: str
-    total_steps: int
-    workers: Tuple[PoolKey, ...]
-    num_parameter_servers: int = 1
-    ps_region_name: Optional[str] = None
-    checkpoint_interval_steps: int = 4000
-    start_delay_seconds: float = 0.0
-    queue_replacements: bool = False
-    auto_mitigate_bottleneck: bool = False
-    steps_per_event: int = 10
+    name: str = declare(nonempty_text)
+    model_name: str = declare(text)
+    total_steps: int = declare(integer(1))
+    workers: Tuple[PoolKey, ...] = declare(sequence(pool_key, low=1))
+    num_parameter_servers: int = declare(integer(1), default=1)
+    ps_region_name: Optional[str] = declare(optional(text), default=None)
+    checkpoint_interval_steps: int = declare(integer(1), default=4000)
+    start_delay_seconds: float = declare(real(ge=0.0), default=0.0)
+    queue_replacements: bool = declare(flag, default=False)
+    auto_mitigate_bottleneck: bool = declare(flag, default=False)
+    steps_per_event: int = declare(integer(1), default=10)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("a job needs a non-empty name")
-        if self.total_steps <= 0:
-            raise ConfigurationError("total_steps must be positive")
-        if self.start_delay_seconds < 0:
-            raise ConfigurationError("start_delay_seconds must be non-negative")
-        if not self.workers:
-            raise ConfigurationError(f"job {self.name!r} needs at least one worker")
-        normalized = tuple(_normalize_key(gpu, region)
-                           for gpu, region in self.workers)
-        object.__setattr__(self, "workers", normalized)
+        check(self, "job")
         # WorkerSpec validates that every region offers its GPU type.
         self.cluster()
 
@@ -139,18 +113,7 @@ class JobSpec:
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "JobSpec":
         """Rebuild a job spec from its :meth:`to_params` form."""
-        data = _document(params, "job")
-        if "workers" in data:
-            workers = data["workers"]
-            if not isinstance(workers, (list, tuple)) or not all(
-                    isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and all(isinstance(name, str) for name in pair)
-                    for pair in workers):
-                raise ConfigurationError(
-                    f"job {data.get('name')!r} field 'workers' must be a "
-                    f"list of [gpu, region] name pairs, got {workers!r}")
-            data["workers"] = tuple((gpu, region) for gpu, region in workers)
-        return _build(cls, data, "job")
+        return parse(cls, params, "job")
 
 
 @dataclass(frozen=True)
@@ -183,46 +146,23 @@ class ScenarioSpec:
             replacement denial).
     """
 
-    name: str
-    description: str
-    jobs: Tuple[JobSpec, ...]
-    pool_capacity: Mapping[PoolKey, int] = field(default_factory=dict)
-    reclaim_seconds: float = 3600.0
-    epoch_hour_utc: Optional[float] = None
-    poll_interval_seconds: float = 60.0
-    warm_seconds: float = 0.0
-    warm_capacity: int = 0
-    placement: str = "static"
+    name: str = declare(nonempty_text)
+    description: str = declare(text)
+    jobs: Tuple[JobSpec, ...] = declare(sequence(nested(JobSpec), low=1))
+    pool_capacity: Mapping[PoolKey, int] = declare(
+        mapping(pool_key, integer(1, convert=int)), default_factory=dict)
+    reclaim_seconds: float = declare(real(ge=0.0), default=3600.0)
+    epoch_hour_utc: Optional[float] = declare(optional(real(convert=wrap_hour)), default=None)
+    poll_interval_seconds: float = declare(real(gt=0.0), default=60.0)
+    warm_seconds: float = declare(real(ge=0.0), default=0.0)
+    warm_capacity: int = declare(integer(0), default=0)
+    placement: str = declare(choice(*PLACEMENTS), default="static")
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("a scenario needs a non-empty name")
-        if not self.jobs:
-            raise ConfigurationError("a scenario needs at least one job")
-        if self.reclaim_seconds < 0:
-            raise ConfigurationError("reclaim_seconds must be non-negative")
-        if self.poll_interval_seconds <= 0:
-            raise ConfigurationError("poll_interval_seconds must be positive")
-        if self.warm_seconds < 0:
-            raise ConfigurationError("warm_seconds must be non-negative")
-        if self.warm_capacity < 0:
-            raise ConfigurationError("warm_capacity must be non-negative")
-        if self.placement not in PLACEMENTS:
-            known = ", ".join(PLACEMENTS)
-            raise ConfigurationError(
-                f"unknown placement {self.placement!r}; known: {known}")
+        check(self, "scenario")
         names = [job.name for job in self.jobs]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate job names in scenario {self.name!r}")
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        capacity = {_normalize_key(gpu, region): int(count)
-                    for (gpu, region), count in dict(self.pool_capacity).items()}
-        if any(count <= 0 for count in capacity.values()):
-            raise ConfigurationError("pool capacities must be positive")
-        object.__setattr__(self, "pool_capacity", capacity)
-        if self.epoch_hour_utc is not None:
-            object.__setattr__(self, "epoch_hour_utc",
-                               wrap_hour(self.epoch_hour_utc))
         demand = self.initial_demand()
         if self.placement == "adaptive":
             # Adaptive placement may move a worker to any pool cell with
@@ -232,7 +172,7 @@ class ScenarioSpec:
             supply_by_gpu: Dict[str, int] = {}
             for (gpu, _region), needed in demand.items():
                 demand_by_gpu[gpu] = demand_by_gpu.get(gpu, 0) + needed
-            for (gpu, _region), have in capacity.items():
+            for (gpu, _region), have in self.pool_capacity.items():
                 supply_by_gpu[gpu] = supply_by_gpu.get(gpu, 0) + have
             for gpu, needed in demand_by_gpu.items():
                 have = supply_by_gpu.get(gpu, 0)
@@ -243,7 +183,7 @@ class ScenarioSpec:
                         f"offers {have} across all regions")
         else:
             for key, needed in demand.items():
-                have = capacity.get(key, 0)
+                have = self.pool_capacity.get(key, 0)
                 if needed > have:
                     raise ConfigurationError(
                         f"scenario {self.name!r} needs {needed} x {key} transient "
@@ -266,8 +206,6 @@ class ScenarioSpec:
         scenario was launchable and ``cells`` covers every sliced job's
         placements, the per-cell demand check passes by construction.
         """
-        if not job_indices:
-            raise ConfigurationError("a shard needs at least one job")
         jobs = tuple(self.jobs[index] for index in job_indices)
         capacity = {key: self.pool_capacity[key] for key in sorted(cells)}
         epoch = self.epoch_hour_utc if epoch_hour_utc is None else epoch_hour_utc
@@ -318,31 +256,7 @@ class ScenarioSpec:
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> "ScenarioSpec":
         """Rebuild a scenario spec from its :meth:`to_params` form."""
-        data = _document(params, "scenario")
-        if "jobs" in data:
-            if not isinstance(data["jobs"], (list, tuple)):
-                raise ConfigurationError(
-                    f"scenario field 'jobs' must be a list of job objects, "
-                    f"got {data['jobs']!r}")
-            data["jobs"] = tuple(JobSpec.from_params(job)
-                                 for job in data["jobs"])
-        if "pool_capacity" in data:
-            pools = data["pool_capacity"]
-            if not isinstance(pools, Mapping):
-                raise ConfigurationError(
-                    f"scenario field 'pool_capacity' must be an object "
-                    f"mapping 'gpu/region' to a count, got {pools!r}")
-            capacity: Dict[PoolKey, int] = {}
-            for key, count in pools.items():
-                gpu, _, region = str(key).partition("/")
-                try:
-                    capacity[(gpu, region)] = int(count)
-                except (TypeError, ValueError):
-                    raise ConfigurationError(
-                        f"scenario field 'pool_capacity' needs an integer "
-                        f"count for {key!r}, got {count!r}") from None
-            data["pool_capacity"] = capacity
-        return _build(cls, data, "scenario")
+        return parse(cls, params, "scenario")
 
     def describe(self) -> str:
         """Short human-readable summary for CLI listings."""

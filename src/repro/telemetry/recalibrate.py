@@ -44,21 +44,26 @@ violations; the tests and the CI telemetry smoke both gate on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cloud.gpus import GPU_CATALOG
+from repro.cloud.regions import REGION_CATALOG
 from repro.cloud.revocation import (
     HOURLY_REVOCATION_WEIGHTS,
     MAX_TRANSIENT_LIFETIME_HOURS,
     REVOCATION_CALIBRATION,
+    WEIBULL_LOG_SCALE_RANGE,
+    WEIBULL_LOG_SHAPE_RANGE,
     RevocationCellParams,
     RevocationModel,
 )
 from repro.errors import DataError
 from repro.perf.calibration import STEP_TIME_ANCHORS, STEP_TIME_NOISE_COV
 from repro.perf.step_time import WARMUP_STEPS, StepTimeModel
+from repro.schema import check, choice, declare, fail, integer, mapping, parse, real, sequence, text
 from repro.telemetry.reader import TelemetryReader
 from repro.units import hour_bins
 
@@ -105,6 +110,25 @@ _GRID_HOUR_BINS = np.stack([hour_bins(float(launch_bin) + 0.5 + _GRID)
                             for launch_bin in range(24)])
 
 
+_GPU = choice(*GPU_CATALOG)
+_CELL_VALUES = sequence(real(convert=float), low=3, high=3)
+
+
+def _cell_key(value: Any, where: str) -> Tuple[str, str]:
+    """A ``"gpu:region"`` cell, or a ``(gpu, region)`` tuple, of catalog names."""
+    cell = tuple(value.split(":")) if isinstance(value, str) else value
+    if not (type(cell) is tuple and len(cell) == 2
+            and cell[0] in GPU_CATALOG and cell[1] in REGION_CATALOG):
+        fail(value, where, "a 'gpu:region' cell of catalog names")
+    return cell
+
+
+def _cell(value: Any, where: str) -> RevocationCellParams:
+    """A cell, or its ``[p_revoke_24h, weibull_shape, weibull_scale_hours]`` document."""
+    return (value if isinstance(value, RevocationCellParams)
+            else RevocationCellParams(*_CELL_VALUES(value, where)))
+
+
 @dataclass
 class RecalibrationResult:
     """Parameters refit from one telemetry artifact.
@@ -121,11 +145,19 @@ class RecalibrationResult:
         samples: Diagnostics — draw/revocation/chunk counts per cell/GPU.
     """
 
-    calibration: Dict[Tuple[str, str], RevocationCellParams] = field(default_factory=dict)
-    hourly_weights: Dict[str, Tuple[float, ...]] = field(default_factory=dict)
-    anchors: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
-    noise_cov: Dict[str, float] = field(default_factory=dict)
-    samples: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    calibration: Dict[Tuple[str, str], RevocationCellParams] = declare(
+        mapping(_cell_key, _cell), default_factory=dict)
+    hourly_weights: Dict[str, Tuple[float, ...]] = declare(mapping(
+        _GPU, sequence(real(ge=0.0, convert=float), low=24, high=24)), default_factory=dict)
+    anchors: Dict[str, List[Tuple[float, float]]] = declare(mapping(_GPU, sequence(
+        sequence(real(gt=0.0, convert=float), low=2, high=2), convert=list)), default_factory=dict)
+    noise_cov: Dict[str, float] = declare(
+        mapping(_GPU, real(ge=0.0, convert=float)), default_factory=dict)
+    samples: Dict[str, Dict[str, int]] = declare(
+        mapping(text, mapping(text, integer(0))), default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check(self, "recalibration")
 
     # ------------------------------------------------------------------
     # Model builders (observed parameters merged over the defaults).
@@ -182,23 +214,7 @@ class RecalibrationResult:
     @classmethod
     def from_params(cls, document: Mapping[str, object]) -> "RecalibrationResult":
         """Rebuild a result from a :meth:`to_params` document."""
-        calibration: Dict[Tuple[str, str], RevocationCellParams] = {}
-        for key, values in dict(document.get("calibration", {})).items():
-            gpu, _, region = key.partition(":")
-            if not region:
-                raise DataError(f"malformed calibration cell key {key!r}")
-            calibration[(gpu, region)] = RevocationCellParams(*map(float, values))
-        return cls(
-            calibration=calibration,
-            hourly_weights={gpu: tuple(map(float, weights)) for gpu, weights
-                            in dict(document.get("hourly_weights", {})).items()},
-            anchors={gpu: [(float(x), float(y)) for x, y in points]
-                     for gpu, points in dict(document.get("anchors", {})).items()},
-            noise_cov={gpu: float(value) for gpu, value
-                       in dict(document.get("noise_cov", {})).items()},
-            samples={key: dict(value) for key, value
-                     in dict(document.get("samples", {})).items()},
-        )
+        return parse(cls, document, "recalibration")
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +268,7 @@ def _fit_truncated_weibull(lifetimes: np.ndarray,
     from scipy.optimize import minimize
 
     cap = MAX_TRANSIENT_LIFETIME_HOURS
+    (shape_lo, shape_hi), (scale_lo, scale_hi) = WEIBULL_LOG_SHAPE_RANGE, WEIBULL_LOG_SCALE_RANGE
     if tilt is not None:
         tilt = np.asarray(tilt, dtype=np.float64)
         unique_bins, counts = np.unique(launch_bins, return_counts=True)
@@ -267,8 +284,8 @@ def _fit_truncated_weibull(lifetimes: np.ndarray,
     log_t = np.log(lifetimes)
 
     def negative_log_likelihood(params: np.ndarray) -> float:
-        shape = math.exp(min(max(params[0], -3.0), 3.0))
-        scale = math.exp(min(max(params[1], -4.0), 6.0))
+        shape = math.exp(min(max(params[0], shape_lo), shape_hi))
+        scale = math.exp(min(max(params[1], scale_lo), scale_hi))
         z = (lifetimes / scale) ** shape
         log_f = (math.log(shape / scale) + (shape - 1.0) * (log_t - math.log(scale))
                  - z).sum()
@@ -288,8 +305,8 @@ def _fit_truncated_weibull(lifetimes: np.ndarray,
                         np.array([math.log(shape0), math.log(scale0)]),
                         method="Nelder-Mead",
                         options={"xatol": 1e-4, "fatol": 1e-6, "maxiter": 400})
-    shape = math.exp(min(max(float(solution.x[0]), -3.0), 3.0))
-    scale = math.exp(min(max(float(solution.x[1]), -4.0), 6.0))
+    shape = math.exp(min(max(float(solution.x[0]), shape_lo), shape_hi))
+    scale = math.exp(min(max(float(solution.x[1]), scale_lo), scale_hi))
     return shape, scale
 
 
