@@ -14,25 +14,36 @@ the measurement methodology (discarding those steps) matter.
 Performance notes
 -----------------
 The model sits on the simulation core's hottest path: every simulated
-training step draws one sample.  Three things keep that cheap:
+training step draws one sample.  Four things keep that cheap:
 
 * anchor tables are pre-split into sorted ``xs``/``ys`` lists once per GPU
   and segment lookup uses :func:`bisect.bisect_left` instead of a linear
   scan,
 * interpolated base step times and noise levels are memoized per
-  ``(gflops, gpu)`` / per GPU, and
-* :meth:`StepTimeModel.sample_steps` draws a whole vector of step durations
-  with a single ``Generator.normal`` call.  The vector draw consumes the
-  generator's stream exactly like the equivalent sequence of scalar
-  :meth:`StepTimeModel.sample_step_time` calls and reproduces their values
-  bit for bit, which is what lets the simulation fast-path stay
-  bit-identical to the chunked path.
+  ``(gflops, gpu)`` / per GPU,
+* every path applies one transform, ``max(floor, mean + sigma * z)``, to
+  standard normals ``z`` from the generator: one ``standard_normal()``
+  per :meth:`StepTimeModel.sample_step_time`, one
+  ``standard_normal(count)`` per :meth:`StepTimeModel.sample_steps`.  A
+  vector fill consumes the stream one ziggurat draw per element, exactly
+  like the equivalent scalar calls, and both paths round the same IEEE
+  multiply, then add, so they agree bit for bit by construction -- which
+  is what keeps the simulation fast path bit-identical to the chunked
+  path.  numpy's ``Generator.normal(loc, scale)``, which drew the golden
+  fixtures, computes the same ``loc + scale * z`` in C: on a build that
+  does not fuse it into one FMA it gives the same values and generator
+  state (``tests/test_perf_step_time.py`` pins this), and
+* the per-step ``(mean, scale, floor)`` vectors of a warm-up phase are
+  built once per ``(mean, cov, start, count)`` and shared by every model
+  in the process (:meth:`StepTimeModel.step_draw_params`), so a warm-up
+  chunk costs a ``standard_normal`` call, not numpy's array-argument
+  ``normal``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -68,6 +79,54 @@ def _warmup_factor(step_index: int) -> float:
             progress = index / WARMUP_STEPS
             _WARMUP_FACTORS.append(1.0 + WARMUP_EXTRA * (1.0 - progress) ** 2)
     return _WARMUP_FACTORS[step_index]
+
+
+class StepDrawParams(NamedTuple):
+    """Per-step draw parameters of consecutive steps.
+
+    Step ``i`` draws ``max(floor[i], loc[i] + scale[i] * z)`` for a
+    standard normal ``z``.  ``rows`` holds the same floats as one
+    ``(loc, scale, floor)`` tuple per step, for per-element Python loops.
+    The arrays are read-only: they are shared through the memo.
+    """
+
+    loc: np.ndarray
+    scale: np.ndarray
+    floor: np.ndarray
+    rows: Tuple[Tuple[float, float, float], ...]
+
+
+#: Memo of :func:`_step_draw_params`.  Its key is everything the
+#: parameters depend on, so every model in the process shares it: the
+#: sessions of a fleet running one model on one GPU type reuse the same
+#: warm-up phases.  It is emptied when full, and phases longer than
+#: ``WARMUP_STEPS`` steps are not kept, so a long block draw pins no
+#: memory.
+_STEP_DRAW_PARAMS: Dict[Tuple[float, float, int, int], StepDrawParams] = {}
+_STEP_DRAW_PARAMS_ENTRIES = 256
+
+
+def _step_draw_params(mean: float, cov: float, start: int,
+                      count: int) -> StepDrawParams:
+    """Draw parameters of ``count`` steps from ``start``, memoized."""
+    key = (mean, cov, start, count)
+    params = _STEP_DRAW_PARAMS.get(key)
+    if params is None:
+        warm_end = max(start, min(WARMUP_STEPS, start + count))
+        means = [mean * _warmup_factor(index)
+                 for index in range(start, warm_end)]
+        means.extend([mean] * (start + count - warm_end))
+        loc = np.asarray(means, dtype=np.float64)
+        scale, floor = loc * cov, loc * 0.2
+        for vector in (loc, scale, floor):
+            vector.flags.writeable = False
+        params = StepDrawParams(loc, scale, floor, tuple(
+            zip(means, scale.tolist(), floor.tolist())))
+        if count <= WARMUP_STEPS:
+            if len(_STEP_DRAW_PARAMS) >= _STEP_DRAW_PARAMS_ENTRIES:
+                _STEP_DRAW_PARAMS.clear()
+            _STEP_DRAW_PARAMS[key] = params
+    return params
 
 
 def _interpolate(xs, ys, x: float) -> float:
@@ -215,7 +274,7 @@ class StepTimeModel:
         # Scalar clamp; identical to np.clip without the array dispatch.
         cov = (self.noise_cov(gpu_name)
                + PS_CONTENTION_COV * min(1.0, max(0.0, float(ps_utilization))))
-        sample = self._rng.normal(mean, mean * cov)
+        sample = mean + (mean * cov) * self._rng.standard_normal()
         return float(max(mean * 0.2, sample))
 
     def sample_steps(self, model_gflops: float, gpu_name: str, count: int,
@@ -227,9 +286,9 @@ class StepTimeModel:
         Bit-for-bit identical to ``count`` sequential
         :meth:`sample_step_time` calls with ``step_index`` running from
         ``start_step_index`` to ``start_step_index + count - 1``: the
-        vectorized ``Generator.normal`` consumes the underlying bit stream
-        one draw per element, exactly like the scalar calls, and the mean /
-        noise / clip arithmetic uses the same expressions.
+        vectorized ``Generator.standard_normal`` consumes the underlying
+        bit stream one draw per element, exactly like the scalar calls, and
+        the mean / noise / clip arithmetic uses the same expressions.
 
         Args:
             model_gflops: Model complexity in GFLOPs per image.
@@ -253,41 +312,25 @@ class StepTimeModel:
                + PS_CONTENTION_COV * min(1.0, max(0.0, float(ps_utilization))))
         if start_step_index >= WARMUP_STEPS:
             # Constant mean: one block draw from the shared stream.
-            samples = self._rng.normal(mean, mean * cov, size=count)
+            samples = mean + (mean * cov) * self._rng.standard_normal(count)
             return np.maximum(mean * 0.2, samples)
-        warm_end = min(WARMUP_STEPS, start_step_index + count)
-        means = [mean * _warmup_factor(index)
-                 for index in range(start_step_index, warm_end)]
-        means.extend([mean] * (start_step_index + count - warm_end))
-        mean_vec = np.asarray(means, dtype=np.float64)
-        samples = self._rng.normal(mean_vec, mean_vec * cov)
-        return np.maximum(mean_vec * 0.2, samples)
+        loc, scale, floor, _rows = _step_draw_params(mean, cov,
+                                                     start_step_index, count)
+        return np.maximum(floor, loc + scale * self._rng.standard_normal(count))
 
-    def chunk_draw_params(self, model_gflops: float, gpu_name: str,
-                          ps_utilization: float = 0.0,
-                          slowdown: float = 1.0) -> Tuple[float, float, float]:
-        """Precompute the ``(mean, sigma, floor)`` of post-warm-up draws.
+    def step_draw_params(self, model_gflops: float, gpu_name: str,
+                         start_step_index: int, count: int,
+                         ps_utilization: float = 0.0,
+                         slowdown: float = 1.0) -> StepDrawParams:
+        """Per-step draw parameters of ``count`` steps from ``start_step_index``.
 
-        Hot replay loops call :meth:`sample_chunk` with these instead of
-        :meth:`sample_steps`, skipping the per-call mean/cov lookups; the
-        values are the exact intermediates of the post-warm-up branch of
-        :meth:`sample_steps`, so the draws are identical.
+        They are the exact intermediates of :meth:`sample_steps`: applying
+        them to ``generator.standard_normal(count)`` element by element
+        reproduces its draws bit for bit.  Phases of up to
+        ``WARMUP_STEPS`` steps are memoized per ``(mean, cov,
+        start_step_index, count)``.
         """
         mean = self.mean_step_time(model_gflops, gpu_name) * max(1.0, slowdown)
         cov = (self.noise_cov(gpu_name)
                + PS_CONTENTION_COV * min(1.0, max(0.0, float(ps_utilization))))
-        return mean, mean * cov, mean * 0.2
-
-    def sample_chunk_raw(self, params: Tuple[float, float, float],
-                         count: int) -> np.ndarray:
-        """Post-warm-up draws from precomputed chunk parameters, unfloored.
-
-        Consumes the RNG stream exactly like the
-        ``start_step_index >= WARMUP_STEPS`` branch of :meth:`sample_steps`;
-        the caller must clamp each value to ``params[2]`` (the floor) —
-        ``v if v > floor else floor`` per element reproduces the
-        ``np.maximum`` of :meth:`sample_steps` bit for bit while skipping
-        the array pass.
-        """
-        mean, sigma, _floor = params
-        return self._rng.normal(mean, sigma, size=count)
+        return _step_draw_params(mean, cov, start_step_index, count)

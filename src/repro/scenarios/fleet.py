@@ -94,7 +94,7 @@ from repro.cloud.regions import get_region
 from repro.cloud.revocation import RevocationModel
 from repro.cloud.revocation import RevocationOutcome
 from repro.cmdare.controller import CMDareController, ControllerConfig
-from repro.errors import CapacityError, SimulationError
+from repro.errors import CapacityError, ConfigurationError, SimulationError
 from repro.modeling.launch_advisor import LaunchAdvisor
 from repro.modeling.placement import PlacementQuery
 from repro.scenarios.pool import DENIED, QUEUED, PoolKey, ReplacementTicket, TransientPool
@@ -775,10 +775,16 @@ def apply_fleet_axes(scenario: ScenarioSpec,
     axes = {name: kind(params[name], name) for name, kind in FLEET_AXES.items() if name in params}
     derived = scenario
     if "pool_size" in axes:
+        factor = axes["pool_size"]
         demand = scenario.initial_demand()
-        capacity = {key: max(demand.get(key, 0),
-                             int(math.ceil(count * axes["pool_size"])), 1)
-                    for key, count in scenario.pool_capacity.items()}
+        capacity = {}
+        for key, count in scenario.pool_capacity.items():
+            scaled = count * factor
+            if not math.isfinite(scaled):
+                raise ConfigurationError(
+                    f"pool_size must scale every pool cell to a finite capacity, got "
+                    f"{factor!r} for {key[0]}/{key[1]} (capacity {count})")
+            capacity[key] = max(demand.get(key, 0), int(math.ceil(scaled)), 1)
         derived = dataclass_replace(derived, pool_capacity=capacity)
     if "queue_policy" in axes:
         queue = axes["queue_policy"] == "queue"

@@ -65,20 +65,25 @@ its number inside a window, so a bit-exact time tie with another job's
 event could order differently than on the chunked path.  Chunk times are
 sums of continuous draws; no fixture or benchmark run has such a tie.)
 
-Step durations are drawn with one ``Generator.normal`` per chunk.  When
-enough draws are due before the bound, every replaying worker is past
-warm-up on one step-time distribution, and the checkpoint model draws
-from another generator, they come from vectorized segments drawn ahead
-instead.  A window that ends before using up its last segment restores
-the generator's saved ``bit_generator.state`` and redraws exactly the
-values it used, so the stream advances exactly as per-chunk draws would
-(normal fills consume the bit stream sequentially).  Segments and staged
-trace rows are bounded, and the trace buffers are shrunk to fit when the
-workload finishes, so the fast path's peak memory stays close to the
-chunked path's.  ``trace_level="summary"`` swaps the columnar trace for
-an aggregates-only :class:`~repro.training.trace.StepRecordSummary` sink —
-fleet runs that only consume end-of-run payloads keep O(1) trace memory
-per job, with byte-identical payloads.
+Every step duration is ``max(floor, mean + scale * z)`` on a standard
+normal ``z`` (:class:`~repro.perf.step_time.StepTimeModel`).  A replayed
+chunk takes its ``z`` from one ``Generator.standard_normal`` call and its
+per-step ``(mean, scale, floor)`` from a memo keyed by GPU and first step
+(warm-up phases included), cleared with the speed state on a membership
+change.  When enough draws are due before the bound, every replaying
+worker is past warm-up on one step-time distribution, and the checkpoint
+model draws from another generator, they come from vectorized segments
+drawn ahead instead.  A window that ends before using up its last
+segment restores the generator's saved ``bit_generator.state`` and
+redraws exactly the values it used, so the stream advances exactly as
+per-chunk draws would (normal fills consume the bit stream
+sequentially).  Segments and staged trace rows are bounded, and the
+trace buffers are shrunk to fit when the workload finishes, so the fast
+path's peak memory stays close to the chunked path's.
+``trace_level="summary"`` swaps the columnar trace for an aggregates-only
+:class:`~repro.training.trace.StepRecordSummary` sink — fleet runs that
+only consume end-of-run payloads keep O(1) trace memory per job, with
+byte-identical payloads.
 
 ``REPRO_CORE_FASTFORWARD=0`` (or ``fast_forward=False``) forces the
 chunked path.  The core-throughput baseline lives in
@@ -126,8 +131,8 @@ DEFAULT_STEPS_PER_EVENT = 10
 #: Most chunks whose durations one vectorized segment draws, and rows
 #: staged before they are flushed to the trace: bounds the fast path's
 #: transient memory (arrays of SEGMENT * steps_per_event floats) without
-#: changing the draws — segmented ``Generator.normal`` fills consume the
-#: bit stream exactly like one big fill.
+#: changing the draws — segmented ``Generator.standard_normal`` fills
+#: consume the bit stream exactly like one big fill.
 FASTFORWARD_SEGMENT_CHUNKS = 1024
 
 #: Fewest chunks worth a vectorized segment or a bulk row write.  Below
@@ -242,9 +247,11 @@ class TrainingSession:
         self._membership_epoch = 0
         self._speed_epoch = -1
         self._speed_cache = (1.0, 0.0, 0.0)
-        #: Per-GPU (mean, sigma, floor) post-warm-up draw parameters,
-        #: memoized alongside the speed state (same invalidation).
-        self._draw_params: Dict[str, Tuple[float, float, float]] = {}
+        #: Per-step (mean, scale, floor) draw parameters of one chunk, keyed
+        #: by (GPU, first step, capped at WARMUP_STEPS) and memoized
+        #: alongside the speed state (same invalidation).
+        self._draw_params: Dict[Tuple[str, int],
+                                Tuple[Tuple[float, float, float], ...]] = {}
 
         self.trace_level = trace_level
         self.trace = TrainingTrace(model_name=job.model_name,
@@ -637,19 +644,24 @@ class TrainingSession:
         slowdown, _utilization, ps_arg = self._span_speed_state()
         steps_per = self.steps_per_event
         total = self.job.total_steps
+        # Every chunk, lifted or scheduled, carries ``steps_per`` steps, so
+        # only a chunk popped at ``cluster >= finish_from`` can finish.
+        finish_from = total - steps_per
+        next_checkpoint = self._next_checkpoint_step
         restart_until = self._restart_until
         draw_params = self._draw_params
-        sample_chunk_raw = model.sample_chunk_raw
+        standard_normal = model.generator.standard_normal
         claim_sequence = sim.claim_sequence
         extend_rows = self.trace.step_records.extend_rows
         heappop, heappush = heapq.heappop, heapq.heappush
 
-        # Segments are sized each time one is used up (every chunk while a
-        # replaying worker is still in warm-up), until a size comes out
-        # short: the draws left before the horizon shrink with every
-        # replayed chunk, so it would stay short.
+        # Segments are sized each time one is used up by a worker past
+        # warm-up (every such chunk while another replaying worker is still
+        # in warm-up), until a size comes out short: the draws left before
+        # the horizon shrink with every replayed chunk, so it would stay
+        # short.
         sizing = True
-        block_gpu = segment_state = None
+        segment_state = None
         sums: List[float] = []
         used = count = 0
 
@@ -660,10 +672,9 @@ class TrainingSession:
         cluster_start = cluster = self._cluster_steps
         time = sim.now
         while heap and pops < budget:
-            entry = heap[0]
-            if cluster + entry[3] >= total:
+            if cluster >= finish_from:
                 top = sim.peek_next()
-                if top is not None and (top.time, top.sequence) < entry[:2]:
+                if top is not None and (top.time, top.sequence) < heap[0][:2]:
                     break
             time, _sequence, worker, steps, start_time = heappop(heap)
             # --- completion (mirrors _complete_chunk) ---
@@ -680,11 +691,13 @@ class TrainingSession:
                 finished = True
                 break
             checkpoint_delay = 0.0
-            if worker.is_chief and cluster >= self._next_checkpoint_step:
+            if worker.is_chief and cluster >= next_checkpoint:
                 self._cluster_steps = cluster
                 checkpoint_delay = self._perform_checkpoint(worker, now=time)
+                next_checkpoint = self._next_checkpoint_step
             # --- next chunk (mirrors _schedule_chunk/_chunk_duration) ---
-            if used == count and sizing:
+            steps_done = worker.steps_done
+            if used == count and sizing and steps_done >= WARMUP_STEPS:
                 # A segment one chunk per worker short of the draws due
                 # before the horizon at the mean pace.  No worker's next
                 # chunk is due before ``time``, so ``span * lead`` bounds
@@ -696,9 +709,8 @@ class TrainingSession:
                               * model.mean_step_time(gflops, worker.gpu_name))
                 if span * lead < (_SHORT_WINDOW_CHUNKS + lead) * chunk_mean:
                     sizing = False
-                elif worker.steps_done >= WARMUP_STEPS and all(
-                        entry[2].steps_done + entry[3] >= WARMUP_STEPS
-                        for entry in heap):
+                elif all(entry[2].steps_done + entry[3] >= WARMUP_STEPS
+                         for entry in heap):
                     size = min(FASTFORWARD_SEGMENT_CHUNKS,
                                -(-(total - cluster) // steps_per))
                     ahead = (span + sum(horizon[0] - entry[0]
@@ -719,31 +731,28 @@ class TrainingSession:
                         sizing = False
                     else:
                         count = size
-                        block_gpu = worker.gpu_name
                         segment_state = model.generator.bit_generator.state
-                        sums = _chunk_sums(model, gflops, block_gpu, count,
-                                           steps_per, ps_arg, slowdown)
+                        sums = _chunk_sums(model, gflops, worker.gpu_name,
+                                           count, steps_per, ps_arg, slowdown)
             if used < count:
                 duration = sums[used]
                 used += 1
-            elif worker.steps_done >= WARMUP_STEPS:
-                gpu = worker.gpu_name
-                params = draw_params.get(gpu)
-                if params is None:
-                    params = draw_params[gpu] = model.chunk_draw_params(
-                        gflops, gpu, ps_utilization=ps_arg, slowdown=slowdown)
-                floor = params[2]
-                duration = 0.0
-                for value in sample_chunk_raw(params, steps_per).tolist():
-                    # Inline max(floor, value): same float as np.maximum.
-                    duration += value if value > floor else floor
             else:
+                # Past warm-up every chunk of a GPU draws the same phase.
+                first = steps_done if steps_done < WARMUP_STEPS else WARMUP_STEPS
+                phase = (worker.gpu_name, first)
+                params = draw_params.get(phase)
+                if params is None:
+                    params = draw_params[phase] = model.step_draw_params(
+                        gflops, worker.gpu_name, first, steps_per,
+                        ps_utilization=ps_arg, slowdown=slowdown).rows
                 duration = 0.0
-                for value in model.sample_steps(
-                        gflops, worker.gpu_name, steps_per,
-                        start_step_index=worker.steps_done,
-                        ps_utilization=ps_arg, slowdown=slowdown).tolist():
-                    duration += value
+                for (loc, scale, floor), z in zip(
+                        params, standard_normal(steps_per).tolist()):
+                    # Inline max(floor, loc + scale * z): the same floats
+                    # as sample_steps' array transform and np.maximum.
+                    value = loc + scale * z
+                    duration += value if value > floor else floor
             delay = checkpoint_delay + duration
             if time + checkpoint_delay < restart_until:
                 delay += restart_until - (time + checkpoint_delay)
@@ -758,9 +767,7 @@ class TrainingSession:
         if used < count:
             # Rewind: advance the stream by exactly the draws used.
             model.generator.bit_generator.state = segment_state
-            sample_chunk_raw(model.chunk_draw_params(
-                gflops, block_gpu, ps_utilization=ps_arg, slowdown=slowdown),
-                used * steps_per)
+            standard_normal(used * steps_per)
         if pops:
             if len(rows) < _SHORT_WINDOW_CHUNKS:
                 append_row = self.trace.step_records.append_row

@@ -187,22 +187,27 @@ def test_derived_statistics_identical(resnet32_profile):
     (95, 5, 0.0, 2.5),       # entirely inside the warm-up tail
     (100, 400, 1.2, 1.0),    # post-warm-up constant-mean block
     (10_000, 1, 0.0, 1.0),   # single-draw degenerate case
+    (95, 10, 0.0, 1.0),      # a 10-step chunk crossing step 100
 ])
 def test_sample_steps_bit_identical_to_scalar_draws(start, count, utilization,
                                                     slowdown):
     scalar_model = StepTimeModel(rng=np.random.default_rng(99))
     vector_model = StepTimeModel(rng=np.random.default_rng(99))
-    scalar = np.array([
-        scalar_model.sample_step_time(1.54, "k80", step_index=start + i,
-                                      ps_utilization=utilization,
-                                      slowdown=slowdown)
-        for i in range(count)])
-    vector = vector_model.sample_steps(1.54, "k80", count, start_step_index=start,
-                                       ps_utilization=utilization,
-                                       slowdown=slowdown)
-    assert np.array_equal(scalar, vector)
-    assert (scalar_model._rng.bit_generator.state
-            == vector_model._rng.bit_generator.state)
+    # Drawn twice: the second draw of a warm-up phase of up to 100 steps
+    # takes its vectors from the memo.
+    for _draw in range(2):
+        scalar = np.array([
+            scalar_model.sample_step_time(1.54, "k80", step_index=start + i,
+                                          ps_utilization=utilization,
+                                          slowdown=slowdown)
+            for i in range(count)])
+        vector = vector_model.sample_steps(1.54, "k80", count,
+                                           start_step_index=start,
+                                           ps_utilization=utilization,
+                                           slowdown=slowdown)
+        assert np.array_equal(scalar, vector)
+        assert (scalar_model._rng.bit_generator.state
+                == vector_model._rng.bit_generator.state)
 
 
 def test_sample_steps_validation():

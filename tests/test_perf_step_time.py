@@ -89,3 +89,31 @@ def test_slowdown_scales_mean(model):
 def test_negative_step_index_rejected(model):
     with pytest.raises(ConfigurationError):
         model.sample_step_time(1.0, "k80", step_index=-1)
+
+
+def test_numpy_normal_is_loc_plus_scale_times_standard_normal():
+    """Step times are drawn as ``loc + scale * z`` on standard normals,
+    while the committed fixtures were drawn with ``Generator.normal(loc,
+    scale)``.  The two agree, values and generator state, only while
+    numpy's C ``random_normal`` rounds its multiply and add separately."""
+    hint = ("numpy's Generator.normal(loc, scale) differs from "
+            "loc + scale * standard_normal() on this build (a fused "
+            "multiply-add in numpy's C code?): step-time draws, and every "
+            "golden fixture drawn from them, assume they are equal")
+    pairs = np.random.default_rng(2024)
+    loc = pairs.uniform(1e-3, 20.0, 10_000)
+    scale = loc * pairs.uniform(0.0, 0.5, loc.size)
+
+    via_normal, via_standard = np.random.default_rng(7), np.random.default_rng(7)
+    drawn = via_normal.normal(loc, scale)
+    transformed = loc + scale * via_standard.standard_normal(loc.size)
+    assert np.array_equal(drawn, transformed), hint
+    assert (via_normal.bit_generator.state
+            == via_standard.bit_generator.state)
+
+    mismatches = sum(
+        via_normal.normal(mean, sigma) != mean + sigma * via_standard.standard_normal()
+        for mean, sigma in zip(loc.tolist(), scale.tolist()))
+    assert mismatches == 0, hint
+    assert (via_normal.bit_generator.state
+            == via_standard.bit_generator.state)

@@ -225,6 +225,18 @@ def test_bad_axis_values_fail_before_any_fleet_runs(argument, value, axis):
         build_fleet_spec(scenario, replicates=1, **{argument: [value]})
 
 
+def test_a_pool_size_that_overflows_a_capacity_is_a_configuration_error():
+    scenario = get_scenario("single_region_k80")
+    for build in (build_fleet_spec, run_scenario):
+        with pytest.raises(ConfigurationError, match="^pool_size must .* finite"):
+            build(scenario, replicates=1, pool_sizes=[1e308])
+    # A huge but finite scaled capacity is still a valid (Python int) count.
+    spec = build_fleet_spec(scenario, replicates=1, pool_sizes=[1e300])
+    capacity = apply_fleet_axes(scenario, spec.cells()[0].params).pool_capacity
+    assert all(type(count) is int and count > 10 ** 300
+               for count in capacity.values())
+
+
 def test_valid_axis_values_keep_their_cell_parameters():
     scenario = get_scenario("single_region_k80")
     spec = build_fleet_spec(scenario, replicates=1, pool_sizes=[2],
