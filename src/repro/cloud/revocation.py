@@ -316,8 +316,7 @@ class RevocationModel:
 
         Draw-order contract: the batch consumes the RNG stream exactly
         like ``count`` sequential :meth:`sample` calls, so batching a loop
-        (as the fleet runner and the Monte-Carlo estimators do) never
-        changes any outcome.
+        (as the Monte-Carlo estimators do) never changes any outcome.
         """
         if count < 0:
             raise ConfigurationError("count must be non-negative")

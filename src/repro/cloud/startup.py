@@ -164,11 +164,6 @@ class StartupTimeModel:
         return StartupStages(provisioning=provisioning, staging=staging,
                              booting=booting)
 
-    def sample_total(self, gpu_name: str, transient: bool,
-                     region_name: str = "us-east1") -> float:
-        """Sample the total startup time (seconds) for a new server."""
-        return self.sample(gpu_name, transient, region_name).total
-
     # ------------------------------------------------------------------
     # Replacement requests after a revocation (Fig. 7).
     # ------------------------------------------------------------------

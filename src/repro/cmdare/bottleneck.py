@@ -12,10 +12,8 @@ the cost of a ~10 s session restart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigurationError, DataError
-from repro.cmdare.tracker import PerformanceTracker
 
 #: Warm-up period (seconds) before the detector starts judging, and the
 #: relative deviation threshold; both values come from Section VI-B
@@ -98,14 +96,6 @@ class BottleneckDetector:
                                 measured_speed=measured_speed,
                                 deviation=deviation, in_warmup=in_warmup,
                                 suggestion=suggestion)
-
-    def check_tracker(self, tracker: PerformanceTracker,
-                      predicted_speed: float,
-                      last_n_windows: Optional[int] = 3) -> BottleneckReport:
-        """Check a live session through its performance tracker."""
-        measured = tracker.average_speed(last_n_windows=last_n_windows)
-        elapsed = tracker.elapsed_since_start()
-        return self.check(predicted_speed, measured, elapsed)
 
     # ------------------------------------------------------------------
     # Slow-worker variant (the paper notes the same approach detects

@@ -109,7 +109,3 @@ class PerformanceTracker:
             raise DataError("no speed window has closed yet")
         samples = self._samples if last_n_windows is None else self._samples[-last_n_windows:]
         return sum(sample.speed for sample in samples) / len(samples)
-
-    def elapsed_since_start(self) -> float:
-        """Seconds elapsed since the tracker was attached."""
-        return self.session.simulator.now - self.session.trace.start_time

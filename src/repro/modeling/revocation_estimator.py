@@ -65,10 +65,6 @@ class EmpiricalLifetimeDistribution:
         revoked_before = sum(1 for t in self.lifetimes_hours if t <= horizon)
         return revoked_before / self.num_launched
 
-    def cdf_curve(self, hours: Sequence[float]) -> np.ndarray:
-        """CDF evaluated on a grid of hours (the Fig. 8 curves)."""
-        return np.array([self.cdf(h) for h in hours])
-
     def mean_lifetime(self) -> float:
         """Mean lifetime in hours, counting survivors at 24 hours."""
         survivors = self.num_launched - self.num_revoked

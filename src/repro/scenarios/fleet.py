@@ -85,14 +85,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace as dataclass_replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import config
 from repro.cloud.machines import PARAMETER_SERVER_MACHINE, gpu_worker_machine
-from repro.cloud.pricing import PriceCatalog, default_price_catalog
+from repro.cloud.pricing import default_price_catalog
 from repro.cloud.regions import get_region
-from repro.cloud.revocation import RevocationModel
-from repro.cloud.revocation import RevocationOutcome
+from repro.cloud.revocation import RevocationModel, RevocationOutcome
 from repro.cmdare.controller import CMDareController, ControllerConfig
 from repro.errors import CapacityError, ConfigurationError, SimulationError
 from repro.modeling.launch_advisor import LaunchAdvisor
@@ -132,6 +131,29 @@ FLEET_AXES = {"pool_size": real(gt=0.0, convert=float),
               "warm_seconds": real(ge=0.0, convert=float),
               "launch_hour": real(convert=float),
               "placement": choice(*PLACEMENTS)}
+
+#: One revocation draw: ``(gpu, region, local launch hour)``.
+DrawCall = Tuple[str, str, float]
+
+
+def fleet_epoch(scenario: ScenarioSpec, streams: RandomStreams) -> float:
+    """The fleet's UTC hour at simulation time zero: the scenario's, or one
+    draw from the fleet's ``epoch`` stream."""
+    if scenario.epoch_hour_utc is not None:
+        return scenario.epoch_hour_utc
+    return float(streams.get("epoch").uniform(0, 24))
+
+
+def draw_fates(model: RevocationModel,
+               calls: Sequence[DrawCall]) -> List[RevocationOutcome]:
+    """Draw one launched server's fate per call, in call order.
+
+    Every fleet draw goes through here, in one process or in a shard's
+    parent, so both consume the shared revocation stream identically.
+    """
+    return [model.sample(gpu, region, launch_hour_local=hour, stressed=True)
+            for gpu, region, hour in calls]
+
 
 class FleetJobController(CMDareController):
     """A CM-DARE controller whose replacements contend on a shared pool.
@@ -261,10 +283,15 @@ class _FleetJob:
     """Runtime bundle for one job of the fleet."""
 
     def __init__(self, spec: JobSpec, session: TrainingSession,
-                 controller: FleetJobController):
+                 controller: FleetJobController, rank: int,
+                 telemetry: Optional[Any] = None):
         self.spec = spec
         self.session = session
         self.controller = controller
+        #: Global fleet index: the tie-break of the job's draw requests and
+        #: the key of its telemetry members, the same in a shard.
+        self.rank = rank
+        self.telemetry = telemetry
         self.stalled = False
         self.stalled_at = 0.0
         self.started = False
@@ -283,7 +310,6 @@ class FleetRun:
         scenario: The scenario to simulate.
         streams: Root random streams of this fleet (one sweep cell).
         catalog: Model catalog resolving job model names.
-        price_catalog: Pricing used for fleet cost accounting.
         fast_forward: Core-path override forwarded to every session.
         trace_level: Per-session trace level (``"full"`` or ``"summary"``);
             ``None`` reads ``REPRO_FLEET_TRACE_LEVEL`` (default full).
@@ -293,30 +319,27 @@ class FleetRun:
             every session's step rows are teed into the spool and every
             revocation-model draw is recorded; payloads are bit-identical
             with or without it.
-        telemetry_ranks: Global job rank per ``scenario.jobs`` entry used
-            to key the spool members.  Defaults to ``0..len(jobs)-1``; the
-            sharded runner passes each shard's global indices so spool
-            contents are shard-invariant.
+        job_ranks: Global fleet index per ``scenario.jobs`` entry, which
+            orders the jobs' draw requests and keys their spool members.
+            Defaults to ``0..len(jobs)-1``; a shard passes its jobs'
+            global indices, so draws and spool contents are
+            shard-invariant.
     """
 
     def __init__(self, scenario: ScenarioSpec, streams: RandomStreams,
                  catalog: Optional[ModelCatalog] = None,
-                 price_catalog: Optional[PriceCatalog] = None,
                  fast_forward: Optional[bool] = None,
                  trace_level: Optional[str] = None,
                  telemetry: Optional[Any] = None,
-                 telemetry_ranks: Optional[Sequence[int]] = None):
+                 job_ranks: Optional[Sequence[int]] = None):
         self.scenario = scenario
         self.streams = streams
         self.catalog = catalog if catalog is not None else default_catalog()
-        self.prices = (price_catalog if price_catalog is not None
-                       else default_price_catalog())
+        self.prices = default_price_catalog()
         self.fast_forward = fast_forward
         self.trace_level = config.FLEET_TRACE_LEVEL.resolve(trace_level,
                                                             "trace_level")
-        epoch = (scenario.epoch_hour_utc if scenario.epoch_hour_utc is not None
-                 else float(streams.get("epoch").uniform(0, 24)))
-        self.simulator = Simulator(epoch_hour_utc=epoch)
+        self.simulator = Simulator(epoch_hour_utc=fleet_epoch(scenario, streams))
         self.pool = TransientPool(self.simulator, scenario.pool_capacity,
                                   reclaim_seconds=scenario.reclaim_seconds,
                                   warm_seconds=scenario.warm_seconds,
@@ -333,33 +356,29 @@ class FleetRun:
                 revocation_model=self.revocation_model,
                 samples_per_option=PLACEMENT_SAMPLES,
                 seed=streams.spawn("placement").seed)
-        self.revocation_hours_local: List[float] = []
+        #: ``(revoke time, global draw rank, local hour)`` per fired
+        #: revocation, in firing order.  A sharded run merges the shards'
+        #: records by ``(time, rank)``, which is this order.
+        self.revocation_records: List[Tuple[float, int, float]] = []
+        self._draws = 0
         #: Live completion counters: bumped by the session-finished and
         #: stall hooks so the run loop never scans all N jobs per event.
         self._jobs_finished = 0
         self._jobs_stalled = 0
-        #: Optional progress callback fired every ``_progress_interval``
-        #: processed events by the run loop.  The sharded fleet driver
-        #: installs one so each worker process periodically reports its
-        #: progress lower bound to the parent's draw service; ``None`` (the
-        #: default) costs one pointer comparison per loop iteration.
-        self._progress_hook: Optional[Callable[[], None]] = None
+        #: The run loop calls :meth:`_report_progress` every this many
+        #: processed events.
         self._progress_interval = 2048
         self._telemetry = telemetry
-        self._telemetry_ranks: Sequence[int] = (
-            telemetry_ranks if telemetry_ranks is not None
-            else range(len(scenario.jobs)))
-        self._job_telemetry: Dict[TrainingSession, Any] = {}
-        self._wired_jobs = 0
-        self.jobs: List[_FleetJob] = [self._wire_job(spec)
-                                      for spec in scenario.jobs]
+        ranks = job_ranks if job_ranks is not None else range(len(scenario.jobs))
+        self.jobs: List[_FleetJob] = [self._wire_job(spec, int(rank))
+                                      for spec, rank in zip(scenario.jobs, ranks)]
         self._job_of: Dict[TrainingSession, _FleetJob] = {
             job.session: job for job in self.jobs}
 
     # ------------------------------------------------------------------
     # Wiring.
     # ------------------------------------------------------------------
-    def _wire_job(self, spec: JobSpec) -> _FleetJob:
+    def _wire_job(self, spec: JobSpec, rank: int) -> _FleetJob:
         # Initial workers reserve their pool slots at fleet launch, before
         # any job starts training (the spec validated the demand fits).
         # With adaptive placement the advisor picks each worker's region
@@ -375,12 +394,10 @@ class FleetRun:
             # Tee the job's normal sink with a telemetry sink: the primary
             # answers every read the payload makes, so attaching telemetry
             # is payload-bit-identical.
-            rank = int(self._telemetry_ranks[self._wired_jobs])
             handle = self._telemetry.job(rank, placed.name, placed.model_name,
                                          profile.gflops)
             step_sink = TeeSink(make_step_sink(self.trace_level),
                                 handle.step_sink())
-        self._wired_jobs += 1
         session = TrainingSession(
             self.simulator, placed.cluster(), job,
             streams=self.streams.spawn(f"job:{placed.name}"),
@@ -392,16 +409,15 @@ class FleetRun:
             for worker in session.workers.values():
                 handle.register_worker(worker.worker_id, worker.spec.gpu_name,
                                        worker.spec.region_name)
-            self._job_telemetry[session] = handle
         controller = FleetJobController(
             session, self.pool, queue_replacements=placed.queue_replacements,
-            on_replacement_admitted=self._schedule_revocation,
+            on_replacement_admitted=self._schedule_revocations,
             placer=self._place_replacement if self.advisor is not None else None,
             config=ControllerConfig(
                 auto_mitigate_bottleneck=placed.auto_mitigate_bottleneck,
                 poll_interval_seconds=self.scenario.poll_interval_seconds))
         session.on_finished.append(self._note_finished)
-        fleet_job = _FleetJob(placed, session, controller)
+        fleet_job = _FleetJob(placed, session, controller, rank, handle)
         self.simulator.schedule(placed.start_delay_seconds,
                                 lambda _sim, fj=fleet_job: self._start_job(fj),
                                 label=f"fleet:start:{placed.name}")
@@ -458,8 +474,8 @@ class FleetRun:
         fleet_job.started = True
         fleet_job.session.start()
         fleet_job.controller.start_monitoring()
-        self._schedule_launch_revocations(
-            fleet_job.session, list(fleet_job.session.workers.values()))
+        self._schedule_revocations(fleet_job.session,
+                                   *fleet_job.session.workers.values())
 
     def _note_finished(self, session: TrainingSession) -> None:
         """A job completed: count it and return surviving servers."""
@@ -468,105 +484,74 @@ class FleetRun:
             if worker.is_transient:
                 self.pool.release(worker.spec.gpu_name, worker.spec.region_name)
 
-    def _schedule_launch_revocations(self, session: TrainingSession,
-                                     workers: List[WorkerState]) -> None:
-        """Draw the launch-time fates of a job's workers, batched.
+    def _schedule_revocations(self, session: TrainingSession,
+                              *workers: WorkerState) -> None:
+        """Draw the fates of newly launched servers and schedule them.
 
-        Consecutive workers sharing a ``(gpu, region)`` placement draw
-        their fates through one :meth:`RevocationModel.sample_batch` call —
-        the batched sampler consumes the revocation stream exactly like the
-        per-worker draws it replaces, so payloads are unchanged.
+        The fleet's only draw site: a job's workers when it starts, and
+        each replacement the controller admits.  Each draw uses the
+        region's *local* hour of day at launch, exactly like the simulated
+        provider does, so fleet-level revocations carry the paper's
+        hour-of-day clustering (Fig. 9); the telemetry row records the
+        same hour.
         """
-        index = 0
-        count = len(workers)
-        while index < count:
-            spec = workers[index].spec
-            gpu, region_name = spec.gpu_name, spec.region_name
-            end = index + 1
-            while (end < count and workers[end].spec.gpu_name == gpu
-                   and workers[end].spec.region_name == region_name):
-                end += 1
-            region = get_region(region_name)
-            launch_hour = region.local_hour(self.simulator.hour_of_day_utc())
-            outcomes = self.revocation_model.sample_batch(
-                gpu, region_name, end - index,
-                launch_hour_local=launch_hour, stressed=True)
-            for worker, outcome in zip(workers[index:end], outcomes):
-                self._note_revocation_draw(session, worker, outcome)
-                self._schedule_revocation_outcome(session, worker, outcome)
-            index = end
+        fleet_job = self._job_of[session]
+        hour_utc = self.simulator.hour_of_day_utc()
+        calls = [(worker.spec.gpu_name, worker.spec.region_name,
+                  get_region(worker.spec.region_name).local_hour(hour_utc))
+                 for worker in workers]
+        outcomes, base_rank = self._request_draws(fleet_job.rank, calls)
+        handle = fleet_job.telemetry
+        for offset, (worker, (gpu, region, hour), outcome) in enumerate(
+                zip(workers, calls, outcomes)):
+            if handle is not None:
+                # Replacements register on first sight (idempotent).
+                handle.register_worker(worker.worker_id, gpu, region)
+                handle.record_draw(worker.worker_id, hour, outcome)
+            self._schedule_revocation_outcome(session, worker, outcome,
+                                              base_rank + offset)
 
-    def _schedule_revocation(self, session: TrainingSession,
-                             worker: WorkerState) -> None:
-        """Draw one worker's fate from the calibrated revocation model.
+    def _request_draws(self, rank: int, calls: List[DrawCall]
+                       ) -> Tuple[List[RevocationOutcome], int]:
+        """Draw ``calls`` from this fleet's revocation model.
 
-        The draw happens at launch time using the region's *local* hour of
-        day, exactly like the simulated provider does, so fleet-level
-        revocations carry the paper's hour-of-day clustering (Fig. 9).
+        Returns the outcomes and the global rank of the first draw.  A
+        shard sends the calls to its parent instead, where the job's
+        ``rank`` orders the request; in one process draws run in event
+        order already.
         """
-        region = get_region(worker.spec.region_name)
-        launch_hour = region.local_hour(self.simulator.hour_of_day_utc())
-        outcome = self.revocation_model.sample(worker.spec.gpu_name,
-                                               worker.spec.region_name,
-                                               launch_hour_local=launch_hour,
-                                               stressed=True)
-        self._note_revocation_draw(session, worker, outcome)
-        self._schedule_revocation_outcome(session, worker, outcome)
-
-    def _note_revocation_draw(self, session: TrainingSession,
-                              worker: WorkerState,
-                              outcome: RevocationOutcome) -> None:
-        """Record one revocation-model draw in the telemetry spool (if any).
-
-        Replacement workers are registered on first sight (registration is
-        idempotent), and the launch hour is recomputed with the exact
-        expression the draw sites used, so the recorded row reproduces the
-        draw's inputs.
-        """
-        if self._telemetry is None:
-            return
-        handle = self._job_telemetry.get(session)
-        if handle is None:
-            return
-        region = get_region(worker.spec.region_name)
-        launch_hour = region.local_hour(self.simulator.hour_of_day_utc())
-        handle.register_worker(worker.worker_id, worker.spec.gpu_name,
-                               worker.spec.region_name)
-        handle.record_draw(worker.worker_id, launch_hour, outcome)
+        base_rank = self._draws
+        self._draws += len(calls)
+        return draw_fates(self.revocation_model, calls), base_rank
 
     def _schedule_revocation_outcome(self, session: TrainingSession,
                                      worker: WorkerState,
                                      outcome: RevocationOutcome,
-                                     rank: Optional[int] = None) -> None:
+                                     rank: int) -> None:
         """Turn a sampled fate into a scheduled revocation event (if any).
 
         The revoke event is one of the job's control events, so it bounds
-        the job's replay windows.  ``rank`` is the draw's global rank
-        (sharded runs), handed to :meth:`_record_revocation` when the
-        revocation fires.
+        the job's replay windows.  ``rank`` is the draw's global rank, kept
+        in :attr:`revocation_records` when the revocation fires.
         """
         if not outcome.revoked:
             # The server survives to the 24-hour reclamation; fleet jobs
             # complete well before, so no termination event is scheduled.
             return
         gpu, region_name = worker.spec.gpu_name, worker.spec.region_name
+        hour_local = float(outcome.revocation_hour_local)
 
         def revoke(_sim: Simulator) -> None:
             if session.finished or not worker.active:
                 return
-            self._record_revocation(float(outcome.revocation_hour_local),
-                                    rank)
+            self.revocation_records.append(
+                (self.simulator.now, rank, hour_local))
             self.pool.revoke(gpu, region_name)
             session.handle_revocation(worker.worker_id)
             self._check_stalled(session)
 
         session.schedule_control(outcome.lifetime_seconds, revoke,
                                  label=f"fleet:revoke:{worker.worker_id}")
-
-    def _record_revocation(self, hour_local: float,
-                           rank: Optional[int]) -> None:
-        """Record one fired revocation's region-local hour."""
-        self.revocation_hours_local.append(hour_local)
 
     def _check_stalled(self, session: TrainingSession) -> None:
         """Detect a job that lost every worker with no replacement coming.
@@ -624,13 +609,14 @@ class FleetRun:
         step = sim.step
         jobs_total = len(self.jobs)
         job_of = self._job_of
-        hook = self._progress_hook
-        next_report = self._progress_interval
+        report = self._report_progress
+        interval = self._progress_interval
+        next_report = interval
         processed = 0
         while processed < max_events:
-            if hook is not None and processed >= next_report:
-                hook()
-                next_report = processed + self._progress_interval
+            if processed >= next_report:
+                report()
+                next_report = processed + interval
             if self._jobs_finished + self._jobs_stalled >= jobs_total:
                 break
             top = peek_next()
@@ -650,6 +636,13 @@ class FleetRun:
                 break
             processed += 1
         return processed
+
+    def _report_progress(self) -> None:
+        """Called by the run loop every ``_progress_interval`` events.
+
+        A shard reports its progress bound to the parent's draw service
+        here; one process has nobody to report to.
+        """
 
     # ------------------------------------------------------------------
     # Reporting.
@@ -674,28 +667,22 @@ class FleetRun:
 
     def _payload(self) -> Dict[str, Any]:
         jobs: List[Dict[str, Any]] = []
-        makespan = 0.0
-        total_cost = 0.0
         for fleet_job in self.jobs:
             session = fleet_job.session
-            completed = session.finished
             end = fleet_job.end_time(self.simulator.now)
-            makespan = max(makespan, end)
-            cost = self._job_cost(fleet_job, end)
-            total_cost += cost
             controller = fleet_job.controller
             summary = controller.summary()
             entry = {
                 "name": fleet_job.spec.name,
                 "model": fleet_job.spec.model_name,
                 "workers": len(fleet_job.spec.workers),
-                "completed": completed,
+                "completed": session.finished,
                 "stalled": fleet_job.stalled,
                 "steps_done": session.cluster_steps,
                 "total_steps": fleet_job.spec.total_steps,
                 "duration_seconds": end - fleet_job.spec.start_delay_seconds,
                 "end_time_seconds": end,
-                "cost_usd": cost,
+                "cost_usd": self._job_cost(fleet_job, end),
                 "revocations": summary["num_revocations_seen"],
                 "replacements_admitted": controller.replacements_admitted,
                 "replacements_denied": controller.replacements_denied,
@@ -711,43 +698,64 @@ class FleetRun:
             if self.advisor is not None:
                 entry["placements_redirected"] = controller.placements_redirected
             jobs.append(entry)
-        pool_stats = self.pool.stats()
-        payload = {
-            "scenario": self.scenario.name,
-            "epoch_hour_utc": self.simulator.epoch_hour_utc,
-            "jobs_total": len(self.jobs),
-            "jobs_completed": sum(1 for job in jobs if job["completed"]),
-            "jobs_stalled": sum(1 for job in jobs if job["stalled"]),
-            "makespan_seconds": makespan,
-            "total_cost_usd": total_cost,
-            "revocations": pool_stats["revocations"],
-            "replacements_admitted": sum(j["replacements_admitted"] for j in jobs),
-            "replacements_denied": pool_stats["replacements_denied"],
-            "replacement_denial_rate": pool_stats["replacement_denial_rate"],
-            "ps_mitigations": sum(j["ps_mitigations"] for j in jobs),
-            "revocation_hours_local": list(self.revocation_hours_local),
-            "pool": pool_stats,
-            "jobs": jobs,
-        }
-        if self.pool.warm_enabled:
-            payload["replacements_warm"] = pool_stats["replacements_warm"]
-            payload["warm_reuse_rate"] = pool_stats["warm_reuse_rate"]
-        if self.advisor is not None:
-            payload["placement"] = self.scenario.placement
-            payload["placements_redirected"] = sum(
-                j["placements_redirected"] for j in jobs)
-        return payload
+        return fleet_payload(
+            self.scenario, self.simulator.epoch_hour_utc, jobs,
+            self.pool.stats(),
+            [hour for _time, _rank, hour in self.revocation_records],
+            warm=self.pool.warm_enabled, placement=self.advisor is not None)
+
+
+def fleet_payload(scenario: ScenarioSpec, epoch: float,
+                  jobs: List[Dict[str, Any]], pool_stats: Dict[str, Any],
+                  revocation_hours: List[float], *, warm: bool,
+                  placement: bool) -> Dict[str, Any]:
+    """The fleet's JSON payload from its job entries, in global job order.
+
+    The single-process run and the sharded merge both build it here.
+    Costs are summed in job order (float addition order is part of the
+    bit-identity contract).  ``warm`` and ``placement`` add the warm-pool
+    and adaptive-placement totals; without them the payload stays
+    byte-identical to a cold, statically placed fleet's.
+    """
+    makespan = 0.0
+    total_cost = 0.0
+    for job in jobs:
+        makespan = max(makespan, job["end_time_seconds"])
+        total_cost += job["cost_usd"]
+    payload = {
+        "scenario": scenario.name,
+        "epoch_hour_utc": epoch,
+        "jobs_total": len(jobs),
+        "jobs_completed": sum(1 for job in jobs if job["completed"]),
+        "jobs_stalled": sum(1 for job in jobs if job["stalled"]),
+        "makespan_seconds": makespan,
+        "total_cost_usd": total_cost,
+        "revocations": pool_stats["revocations"],
+        "replacements_admitted": sum(j["replacements_admitted"] for j in jobs),
+        "replacements_denied": pool_stats["replacements_denied"],
+        "replacement_denial_rate": pool_stats["replacement_denial_rate"],
+        "ps_mitigations": sum(j["ps_mitigations"] for j in jobs),
+        "revocation_hours_local": revocation_hours,
+        "pool": pool_stats,
+        "jobs": jobs,
+    }
+    if warm:
+        payload["replacements_warm"] = pool_stats["replacements_warm"]
+        payload["warm_reuse_rate"] = pool_stats["warm_reuse_rate"]
+    if placement:
+        payload["placement"] = scenario.placement
+        payload["placements_redirected"] = sum(
+            j["placements_redirected"] for j in jobs)
+    return payload
 
 
 def run_fleet(scenario: ScenarioSpec, streams: RandomStreams,
               catalog: Optional[ModelCatalog] = None,
-              price_catalog: Optional[PriceCatalog] = None,
               fast_forward: Optional[bool] = None,
               trace_level: Optional[str] = None) -> Dict[str, Any]:
     """Simulate one fleet and return its JSON-encodable summary payload."""
     return FleetRun(scenario, streams, catalog=catalog,
-                    price_catalog=price_catalog, fast_forward=fast_forward,
-                    trace_level=trace_level).run()
+                    fast_forward=fast_forward, trace_level=trace_level).run()
 
 
 # ---------------------------------------------------------------------------

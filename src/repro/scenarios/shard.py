@@ -55,9 +55,10 @@ owns the one true model and replays the exact single-process call sequence:
   Replay windows run a job's chunks past the heap top, but a chunk draws
   nothing from the shared stream unless it finishes the job, and windows
   complete a finishing chunk only at the heap top — so the bound holds.
-* the parent executes the real model calls (same arguments, same batching
-  as the single-process fleet, hence the same stream consumption) and
-  replies with the outcomes plus each draw's global sequence number.
+* the parent runs the calls through the same
+  :func:`~repro.scenarios.fleet.draw_fates` the single-process fleet runs
+  in place (same arguments, hence the same stream consumption) and replies
+  with the outcomes plus the first draw's global sequence number.
 
 Supervision: restart-replay
 ---------------------------
@@ -101,10 +102,10 @@ Merging
 -------
 Each shard returns its ordinary fleet payload plus its revocation records
 ``(revoke time, global draw rank, local hour)``.  The parent reassembles
-the single-process payload exactly: per-job entries in global job order,
-``total_cost_usd`` summed in that order (float addition order preserved),
-pool stats merged cell-by-cell (cells are disjoint by ownership), and
-``revocation_hours_local`` ordered by ``(revoke time, draw rank)`` — the
+the single-process payload exactly, through the same
+:func:`~repro.scenarios.fleet.fleet_payload`: per-job entries in global
+job order, pool stats merged cell-by-cell (cells are disjoint by
+ownership), and the records ordered by ``(revoke time, draw rank)`` — the
 draw rank reproduces the single-process heap tie-break because revocation
 events are scheduled immediately after their draws, in draw order.
 
@@ -135,16 +136,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import chaos, config
-from repro.cloud.pricing import PriceCatalog
-from repro.cloud.regions import get_region
 from repro.cloud.revocation import RevocationModel
 from repro.errors import ConfigurationError, SimulationError
-from repro.scenarios.fleet import FleetRun
+from repro.scenarios.fleet import (DrawCall, FleetRun, draw_fates, fleet_epoch,
+                                   fleet_payload)
 from repro.scenarios.pool import TransientPool
 from repro.scenarios.spec import PoolKey, ScenarioSpec
 from repro.simulation.rng import RandomStreams
-from repro.training.session import TrainingSession
-from repro.training.worker import WorkerState
 from repro.workloads.catalog import ModelCatalog
 
 __all__ = [
@@ -331,23 +329,22 @@ class ShardFleetRun(FleetRun):
         conn: Pipe to the parent draw service.
         job_ranks: Global fleet index of each sub-scenario job, in order.
 
-    Everything else — pool, controllers, wake-set loop, fast-forward —
-    is the stock :class:`~repro.scenarios.fleet.FleetRun`; only the two
-    revocation-draw entry points and the revoke bookkeeping differ.
+    Everything else — pool, controllers, wake-set loop, fast-forward,
+    draw sites, revocation records — is the stock
+    :class:`~repro.scenarios.fleet.FleetRun`; only where the draws run
+    (:meth:`_request_draws`) and the progress reports differ.
     """
 
     def __init__(self, scenario: ScenarioSpec, streams: RandomStreams, *,
                  conn: Any, job_ranks: Sequence[int],
                  catalog: Optional[ModelCatalog] = None,
-                 price_catalog: Optional[PriceCatalog] = None,
                  fast_forward: Optional[bool] = None,
                  trace_level: Optional[str] = None,
                  telemetry: Optional[Any] = None,
                  chaos_monitor: Optional[chaos.ChaosMonitor] = None):
         super().__init__(scenario, streams, catalog=catalog,
-                         price_catalog=price_catalog,
                          fast_forward=fast_forward, trace_level=trace_level,
-                         telemetry=telemetry, telemetry_ranks=job_ranks)
+                         telemetry=telemetry, job_ranks=job_ranks)
         if self.advisor is not None:
             raise ConfigurationError(
                 "adaptive placement couples every cell; it cannot run on a "
@@ -357,13 +354,6 @@ class ShardFleetRun(FleetRun):
         #: ``shard_crash`` fault's trigger comes up; ``None`` outside
         #: chaos runs.
         self._chaos = chaos_monitor
-        self._rank_of = {job.session: rank
-                         for job, rank in zip(self.jobs, job_ranks)}
-        #: ``(revoke time, global draw rank, local hour)`` per fired
-        #: revocation; the parent merges these across shards to rebuild
-        #: ``revocation_hours_local`` in single-process order.
-        self.revocation_records: List[Tuple[float, int, float]] = []
-        self._progress_hook = self._report_progress
 
     # -- draw service client -------------------------------------------
     def _report_progress(self) -> None:
@@ -371,7 +361,7 @@ class ShardFleetRun(FleetRun):
         self._conn.send(("progress",
                          math.inf if bound is None else bound))
 
-    def _request_draws(self, rank: int, calls: List[Tuple]) -> Tuple[List, int]:
+    def _request_draws(self, rank: int, calls: List[DrawCall]) -> Tuple[List, int]:
         """Block until the parent grants this shard's draws, in order."""
         if self._chaos is not None:
             fault = self._chaos.tick()
@@ -388,51 +378,6 @@ class ShardFleetRun(FleetRun):
         outcomes, base_rank = reply[1]
         return outcomes, base_rank
 
-    # -- revocation draws, routed --------------------------------------
-    def _schedule_launch_revocations(self, session: TrainingSession,
-                                     workers: List[WorkerState]) -> None:
-        # Same consecutive-(gpu, region) grouping as the base class, but
-        # all of the job's batch calls travel in one request: the parent
-        # executes them back-to-back, consuming the revocation stream
-        # exactly as the single-process interleaved calls would.
-        calls: List[Tuple] = []
-        index = 0
-        count = len(workers)
-        while index < count:
-            spec = workers[index].spec
-            gpu, region_name = spec.gpu_name, spec.region_name
-            end = index + 1
-            while (end < count and workers[end].spec.gpu_name == gpu
-                   and workers[end].spec.region_name == region_name):
-                end += 1
-            region = get_region(region_name)
-            launch_hour = region.local_hour(self.simulator.hour_of_day_utc())
-            calls.append(("batch", gpu, region_name, end - index, launch_hour))
-            index = end
-        outcomes, base_rank = self._request_draws(self._rank_of[session], calls)
-        for offset, (worker, outcome) in enumerate(zip(workers, outcomes)):
-            self._note_revocation_draw(session, worker, outcome)
-            self._schedule_revocation_outcome(session, worker, outcome,
-                                              base_rank + offset)
-
-    def _schedule_revocation(self, session: TrainingSession,
-                             worker: WorkerState) -> None:
-        region = get_region(worker.spec.region_name)
-        launch_hour = region.local_hour(self.simulator.hour_of_day_utc())
-        outcomes, base_rank = self._request_draws(
-            self._rank_of[session],
-            [("single", worker.spec.gpu_name, worker.spec.region_name, 1,
-              launch_hour)])
-        self._note_revocation_draw(session, worker, outcomes[0])
-        self._schedule_revocation_outcome(session, worker, outcomes[0],
-                                          base_rank)
-
-    def _record_revocation(self, hour_local: float,
-                           rank: Optional[int]) -> None:
-        """Also keep the draw rank the parent merges revocations by."""
-        self.revocation_records.append((self.simulator.now, rank, hour_local))
-        super()._record_revocation(hour_local, rank)
-
 
 def _spooling(telemetry, part: int):
     """The telemetry spool for ``part`` as a context manager; a no-op
@@ -444,9 +389,8 @@ def _spooling(telemetry, part: int):
 
 
 def _shard_worker(conn, scenario: ScenarioSpec, group: ShardGroup,
-                  epoch: float, seed: int, catalog, price_catalog,
-                  fast_forward, trace_level, telemetry=None,
-                  incarnation: int = 0) -> None:
+                  epoch: float, seed: int, catalog, fast_forward,
+                  trace_level, telemetry=None, incarnation: int = 0) -> None:
     """Process entry point: run one shard and report back over ``conn``.
 
     ``incarnation`` is this process's spawn generation (0 on the first
@@ -470,7 +414,6 @@ def _shard_worker(conn, scenario: ScenarioSpec, group: ShardGroup,
                                         epoch_hour_utc=epoch)
             run = ShardFleetRun(sub, RandomStreams(seed=seed), conn=conn,
                                 job_ranks=group.job_indices, catalog=catalog,
-                                price_catalog=price_catalog,
                                 fast_forward=fast_forward,
                                 trace_level=trace_level, telemetry=spool,
                                 chaos_monitor=monitor)
@@ -541,7 +484,6 @@ class ShardedFleetRun:
 
     def __init__(self, scenario: ScenarioSpec, streams: RandomStreams,
                  catalog: Optional[ModelCatalog] = None,
-                 price_catalog: Optional[PriceCatalog] = None,
                  fast_forward: Optional[bool] = None,
                  trace_level: Optional[str] = None,
                  shards: Optional[int] = None,
@@ -551,7 +493,6 @@ class ShardedFleetRun:
         self.scenario = scenario
         self.streams = streams
         self.catalog = catalog
-        self.price_catalog = price_catalog
         self.fast_forward = fast_forward
         self.trace_level = trace_level
         #: Optional :class:`repro.telemetry.writer.TelemetryConfig` — a
@@ -579,19 +520,15 @@ class ShardedFleetRun:
             with _spooling(self.telemetry, 0) as spool:
                 run = FleetRun(self.scenario, self.streams,
                                catalog=self.catalog,
-                               price_catalog=self.price_catalog,
                                fast_forward=self.fast_forward,
                                trace_level=self.trace_level,
                                telemetry=spool)
                 payload = run.run()
             self.events_processed = run.events_processed
             return payload
-        # Resolve the fleet epoch exactly like FleetRun.__init__ does, so
-        # the one draw the single-process run would make happens here,
-        # once, and every shard inherits its value explicitly.
-        epoch = (self.scenario.epoch_hour_utc
-                 if self.scenario.epoch_hour_utc is not None
-                 else float(self.streams.get("epoch").uniform(0, 24)))
+        # The one epoch draw the single-process run would make happens
+        # here, once, and every shard inherits its value explicitly.
+        epoch = fleet_epoch(self.scenario, self.streams)
         model = RevocationModel(rng=self.streams.get("revocation"))
         results = self._conduct(epoch, model)
         return self._merge(results)
@@ -603,9 +540,8 @@ class ShardedFleetRun:
         process = self._context.Process(
             target=_shard_worker,
             args=(child_conn, self.scenario, handle.group, epoch,
-                  self.streams.seed, self.catalog, self.price_catalog,
-                  self.fast_forward, self.trace_level,
-                  self.telemetry, handle.incarnation),
+                  self.streams.seed, self.catalog, self.fast_forward,
+                  self.trace_level, self.telemetry, handle.incarnation),
             name=(f"repro-fleet-shard-{handle.group.index}"
                   f".{handle.incarnation}"))
         handle.process = process
@@ -823,16 +759,7 @@ class ShardedFleetRun:
                 return draw_count
             queue.pop()
             requester.pending = None
-            outcomes: List[Any] = []
-            for kind, gpu, region, count, launch_hour in calls:
-                if kind == "batch":
-                    outcomes.extend(model.sample_batch(
-                        gpu, region, count, launch_hour_local=launch_hour,
-                        stressed=True))
-                else:
-                    outcomes.append(model.sample(
-                        gpu, region, launch_hour_local=launch_hour,
-                        stressed=True))
+            outcomes = draw_fates(model, calls)
             # Log before sending: a grant is part of the shard's history
             # the moment the model is consumed, delivered or not.
             base_rank = draw_count
@@ -863,55 +790,30 @@ class ShardedFleetRun:
     def _merge(self, results: List[Tuple]) -> Dict[str, Any]:
         """Reassemble the single-process payload from per-shard results."""
         payloads = [result[0] for result in results]
-        records = [record for result in results for record in result[1]]
         self.events_processed = sum(result[2] for result in results)
-
         jobs: List[Optional[Dict[str, Any]]] = [None] * len(self.scenario.jobs)
         for group, payload in zip(self.groups, payloads):
             for rank, entry in zip(group.job_indices, payload["jobs"]):
                 jobs[rank] = entry
-        # total_cost_usd sums per-job costs in global job order, exactly
-        # like FleetRun._payload — float addition order is part of the
-        # bit-identity contract.
-        total_cost = 0.0
-        for entry in jobs:
-            total_cost += entry["cost_usd"]
         pool_stats = TransientPool.merge_stats(
             [payload["pool"] for payload in payloads])
         # (time, draw rank) reproduces the single-process append order:
         # revoke events are scheduled right after their draws, so their
         # heap sequence numbers — the same-time tie-break — are ordered
         # exactly like the global draw ranks.
-        records.sort(key=lambda record: (record[0], record[1]))
-        merged: Dict[str, Any] = {
-            "scenario": self.scenario.name,
-            "epoch_hour_utc": payloads[0]["epoch_hour_utc"],
-            "jobs_total": len(jobs),
-            "jobs_completed": sum(1 for job in jobs if job["completed"]),
-            "jobs_stalled": sum(1 for job in jobs if job["stalled"]),
-            "makespan_seconds": max(payload["makespan_seconds"]
-                                    for payload in payloads),
-            "total_cost_usd": total_cost,
-            "revocations": pool_stats["revocations"],
-            "replacements_admitted": sum(job["replacements_admitted"]
-                                         for job in jobs),
-            "replacements_denied": pool_stats["replacements_denied"],
-            "replacement_denial_rate": pool_stats["replacement_denial_rate"],
-            "ps_mitigations": sum(job["ps_mitigations"] for job in jobs),
-            "revocation_hours_local": [record[2] for record in records],
-            "pool": pool_stats,
-            "jobs": jobs,
-        }
-        if (self.scenario.warm_capacity > 0
-                and self.scenario.warm_seconds > 0):
-            merged["replacements_warm"] = pool_stats["replacements_warm"]
-            merged["warm_reuse_rate"] = pool_stats["warm_reuse_rate"]
-        return merged
+        records = sorted((record for result in results for record in result[1]),
+                         key=lambda record: (record[0], record[1]))
+        # Adaptive placement couples every cell, so it never shards.
+        return fleet_payload(
+            self.scenario, payloads[0]["epoch_hour_utc"], jobs, pool_stats,
+            [hour for _time, _rank, hour in records],
+            warm=(self.scenario.warm_capacity > 0
+                  and self.scenario.warm_seconds > 0),
+            placement=False)
 
 
 def run_fleet_sharded(scenario: ScenarioSpec, streams: RandomStreams,
                       catalog: Optional[ModelCatalog] = None,
-                      price_catalog: Optional[PriceCatalog] = None,
                       fast_forward: Optional[bool] = None,
                       trace_level: Optional[str] = None,
                       shards: Optional[int] = None,
@@ -933,7 +835,6 @@ def run_fleet_sharded(scenario: ScenarioSpec, streams: RandomStreams,
     *is* the single-process run.
     """
     return ShardedFleetRun(scenario, streams, catalog=catalog,
-                           price_catalog=price_catalog,
                            fast_forward=fast_forward,
                            trace_level=trace_level, shards=shards,
                            telemetry=telemetry, max_restarts=max_restarts,

@@ -24,23 +24,29 @@ fleet size.
 
 Streaming-memory contract
 -------------------------
-Reading mirrors writing: analysis over an artifact is bounded by
-O(``chunk_rows``), never by the fleet size.  :class:`TelemetryReader`
-indexes the members once at open and decodes one chunk at a time
-(``step_chunks`` / ``draw_chunks``), each with one positioned read into
-its own buffer, so nothing is memory-mapped and every byte the analysis
-holds is visible to tracemalloc.  It keeps no per-job state beyond the
-index: a job's worker registry is read again on every request.
-Every built-in consumer — :func:`repro.telemetry.report.fleet_report`,
-:func:`repro.telemetry.diff.diff_artifacts`, and the draw/anchor pooling
-inside :func:`~repro.telemetry.recalibrate.recalibrate` — feeds those
-chunks through the :mod:`repro.analysis.streaming` accumulators (stable
-block-merged moments, fixed-bin histograms, exact spill-and-merge
-percentiles) instead of concatenating a job's tables.  The streaming
-report is value-identical to the materialized ``step_rows`` path, and
-``benchmarks/telemetry_baseline.py`` pins the memory bound with
-tracemalloc: analysis peak stays flat as the job count grows 10x
-(committed as ``BENCH_telemetry.json``).
+Reading mirrors writing: :class:`TelemetryReader` indexes the members
+once at open and decodes one chunk at a time (``step_chunks`` /
+``draw_chunks``), each with one positioned read into its own buffer, so
+nothing is memory-mapped and every byte the analysis holds is visible to
+tracemalloc.  It keeps no per-job state beyond the index: a job's worker
+registry is read again on every request.  What each built-in consumer
+holds on top of that:
+
+* :func:`repro.telemetry.report.fleet_report` feeds the chunks through
+  :class:`repro.analysis.streaming.StreamingDescribe` (stable
+  block-merged moments and exact spill-and-merge percentiles), so its
+  memory does not grow with the fleet.  The streaming report is
+  value-identical to the materialized ``step_rows`` path, and
+  ``benchmarks/telemetry_baseline.py`` pins the bound with tracemalloc:
+  analysis peak stays flat as the job count grows 10x (committed as
+  ``BENCH_telemetry.json``).
+* :func:`repro.telemetry.diff.diff_artifacts` re-blocks each pair of
+  chunk streams at their common boundaries (``_aligned_blocks``) and
+  compares block by block, in memory bounded by one chunk per artifact.
+* :func:`~repro.telemetry.recalibrate.recalibrate` concatenates each
+  ``(gpu, region)`` cell's draw rows (``_collect_draws``) and each
+  ``(gpu, gflops)`` group's post-warm-up step times before it fits, so
+  its memory grows with those rows, not with ``chunk_rows``.
 
 Merge and ordering guarantees
 -----------------------------

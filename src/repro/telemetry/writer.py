@@ -4,8 +4,8 @@ A fleet run streams two row kinds per job into a *spool* directory:
 
 * **step rows** — one per completed training chunk, captured by teeing a
   :class:`JobStepSink` behind the job's normal trace sink, and
-* **draw rows** — one per revocation-model draw (launch batches and
-  replacement admissions), captured by the fleet's draw hook.
+* **draw rows** — one per revocation-model draw (job starts and
+  replacement admissions), captured where the fleet draws.
 
 Rows are buffered in plain Python lists and flushed every
 ``chunk_rows`` rows as a single ``float64`` matrix in :func:`numpy.save`

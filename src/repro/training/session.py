@@ -366,18 +366,6 @@ class TrainingSession:
             self._draw_params.clear()
         return self._speed_cache
 
-    def current_cluster_speed(self) -> float:
-        """Analytic cluster speed (steps/second) for the current membership."""
-        speeds = self._worker_speeds()
-        if not speeds:
-            return 0.0
-        efficiencies = self._scaling_efficiencies()
-        ordered = list(speeds)
-        return self.ps_group.cluster_speed(
-            [speeds[w] for w in ordered],
-            self.job.profile.parameter_bytes,
-            [efficiencies[w] for w in ordered])
-
     # ------------------------------------------------------------------
     # Scheduling.
     # ------------------------------------------------------------------

@@ -41,19 +41,6 @@ class ModelProfile:
         """Raw float32 parameter size in bytes (gradient payload per step)."""
         return self.params * 4
 
-    @property
-    def checkpoint_bytes(self) -> int:
-        """Total checkpoint size in bytes (data + index + meta files)."""
-        return self.checkpoint.total_bytes
-
-    def normalized_computation(self, gpu_teraflops: float) -> float:
-        """The paper's computation ratio ``C = Cm / Cgpu`` (unnormalized).
-
-        Args:
-            gpu_teraflops: GPU computational capacity in teraflops.
-        """
-        return self.gflops / gpu_teraflops
-
 
 def profile_model(graph: ModelGraph) -> ModelProfile:
     """Profile a model graph, mirroring what TFProf reports in the paper.

@@ -67,8 +67,8 @@ def roundrobin_advance(run, max_events):
     processed = 0
     next_report = run._progress_interval
     while processed < max_events:
-        if run._progress_hook is not None and processed >= next_report:
-            run._progress_hook()
+        if processed >= next_report:
+            run._report_progress()
             next_report = processed + run._progress_interval
         for job in run.jobs:
             if not job.session.finished:

@@ -401,16 +401,10 @@ class _LocalDrawService:
             return
         assert kind == "draw"
         _, _time, _rank, calls = message
-        outcomes = []
-        for call_kind, gpu, region, count, launch_hour in calls:
-            if call_kind == "batch":
-                outcomes.extend(self._model.sample_batch(
-                    gpu, region, count, launch_hour_local=launch_hour,
-                    stressed=True))
-            else:
-                outcomes.append(self._model.sample(
-                    gpu, region, launch_hour_local=launch_hour,
-                    stressed=True))
+        outcomes = [self._model.sample(gpu, region,
+                                       launch_hour_local=launch_hour,
+                                       stressed=True)
+                    for gpu, region, launch_hour in calls]
         self._replies.append(("grant", (outcomes, self._rank)))
         self._rank += len(outcomes)
 
@@ -421,11 +415,13 @@ class _LocalDrawService:
 def test_one_shard_run_reproduces_the_whole_fleet(catalog):
     """A ShardFleetRun holding *every* job, fed by an in-process draw
     service, is the single-process fleet: same draw order, same payload,
-    and its revocation records carry the global draw ranks in order."""
+    and the same revocation records, global draw rank for rank."""
+    from repro.scenarios.fleet import FleetRun
     from repro.scenarios.shard import ShardFleetRun
 
     scenario = four_region_storm()
-    single = run_fleet(scenario, RandomStreams(seed=3), catalog=catalog)
+    single_run = FleetRun(scenario, RandomStreams(seed=3), catalog=catalog)
+    single = single_run.run()
 
     streams = RandomStreams(seed=3)
     service = _LocalDrawService(streams)
@@ -443,4 +439,5 @@ def test_one_shard_run_reproduces_the_whole_fleet(catalog):
     assert [record[2] for record in sorted(
         run.revocation_records, key=lambda r: (r[0], r[1]))] == \
         single["revocation_hours_local"]
+    assert run.revocation_records == single_run.revocation_records
     assert service.progress_reports > 0
