@@ -59,6 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import config
 from repro.errors import ConfigurationError
+from repro.schema import check, choice, declare, integer, optional, real
 
 #: Exit code chaos-killed processes die with (distinctive in logs).
 CHAOS_EXIT_CODE = 37
@@ -75,29 +76,15 @@ DEFAULT_HANG_SECONDS = 3600.0
 class Fault:
     """One scheduled fault (see the module docstring for the kinds)."""
 
-    kind: str
-    at: int = 1
-    shard: Optional[int] = None
-    cell: Optional[int] = None
-    incarnation: int = 0
-    seconds: Optional[float] = None
+    kind: str = declare(choice(*FAULT_KINDS))
+    at: int = declare(integer(1), default=1)
+    shard: Optional[int] = declare(optional(integer(0)), default=None)
+    cell: Optional[int] = declare(optional(integer(0)), default=None)
+    incarnation: int = declare(integer(0), default=0)
+    seconds: Optional[float] = declare(optional(real(gt=0.0)), default=None)
 
     def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; expected one of "
-                f"{', '.join(FAULT_KINDS)}")
-        if self.at < 1:
-            raise ConfigurationError(
-                f"fault 'at' is 1-based and must be >= 1, got {self.at}")
-        if self.incarnation < 0:
-            raise ConfigurationError(
-                f"fault incarnation must be >= 0, got {self.incarnation}")
-        for name in ("shard", "cell"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigurationError(
-                    f"fault {name} must be >= 0, got {value}")
+        check(self, "fault")
 
     def matches(self, *, shard: Optional[int] = None,
                 cell: Optional[int] = None, incarnation: int = 0) -> bool:

@@ -3,8 +3,8 @@
 The profiler is where CM-DARE accumulates the raw measurements that power
 the paper's regression models: per-(model, GPU) training speed samples and
 per-model checkpoint durations.  The measurement campaigns in
-:mod:`repro.measurement` write into a profiler and the modeling layer reads
-feature matrices out of it.
+:mod:`repro.measurement` write into a profiler; the modeling layer fits on
+its measurement lists, and each predictor builds its own features from them.
 """
 
 from __future__ import annotations
@@ -126,38 +126,6 @@ class PerformanceProfiler:
     def models(self) -> List[str]:
         """Models with at least one speed measurement."""
         return sorted({m.model_name for m in self._speed})
-
-    # ------------------------------------------------------------------
-    # Feature matrices for the modeling layer.
-    # ------------------------------------------------------------------
-    def speed_feature_matrix(self, gpu_name: Optional[str] = None
-                             ) -> Tuple[np.ndarray, np.ndarray, List[SpeedMeasurement]]:
-        """Return ``(features, step_times, measurements)`` for regression.
-
-        Features are ``[Cm, Cgpu]`` columns (GFLOPs, teraflops); callers
-        select/normalize the columns they need.
-        """
-        measurements = self.speed_for(gpu_name=gpu_name)
-        if not measurements:
-            raise DataError("no speed measurements recorded")
-        features = np.array([[m.model_gflops, m.gpu_teraflops] for m in measurements])
-        targets = np.array([m.step_time for m in measurements])
-        return features, targets, measurements
-
-    def checkpoint_feature_matrix(self) -> Tuple[np.ndarray, np.ndarray,
-                                                 List[CheckpointMeasurement]]:
-        """Return ``(features, durations, measurements)`` for regression.
-
-        Features are ``[Sd, Sm, Si, Sc]`` in MB.
-        """
-        if not self._checkpoints:
-            raise DataError("no checkpoint measurements recorded")
-        mb = 1024.0 * 1024.0
-        features = np.array([[m.data_bytes / mb, m.meta_bytes / mb,
-                              m.index_bytes / mb, m.total_bytes / mb]
-                             for m in self._checkpoints])
-        targets = np.array([m.duration for m in self._checkpoints])
-        return features, targets, list(self._checkpoints)
 
     # ------------------------------------------------------------------
     # Aggregates.

@@ -2,9 +2,9 @@
 
 Every training server runs a performance tracker that forwards training
 speed to the CM-DARE performance profiler (steps (4) of the Fig. 1
-workflow).  The tracker consumes the session's trace incrementally and
-exposes windowed speed estimates, which the bottleneck detector compares
-against predictions.
+workflow).  The tracker reads the session's cluster step count at each
+poll and exposes windowed speed estimates, which the bottleneck detector
+compares against predictions.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class PerformanceTracker:
         self.session = session
         self.window_seconds = window_seconds
         self._samples: List[SpeedSample] = []
-        self._consumed_records = 0
         self._window_start_time = session.simulator.now
         self._window_start_step = 0
 
@@ -53,14 +52,12 @@ class PerformanceTracker:
     # Ingestion.
     # ------------------------------------------------------------------
     def poll(self) -> Optional[SpeedSample]:
-        """Consume new trace records; emit a sample when a window closes.
+        """Emit a speed sample when the current window has elapsed.
 
         Returns:
             The newly closed window's sample, or ``None`` if the current
             window has not yet elapsed.
         """
-        records = self.session.trace.step_records
-        self._consumed_records = len(records)
         now = self.session.simulator.now
         if now - self._window_start_time < self.window_seconds:
             return None

@@ -9,6 +9,10 @@ predictors the paper builds on top of it:
   (:mod:`repro.modeling.speed_predictor`),
 * the four checkpoint-time prediction models of Table IV
   (:mod:`repro.modeling.checkpoint_predictor`),
+  both fitted and evaluated by one predictor core,
+  :class:`~repro.modeling.model_selection.RegressionPredictor`, which holds
+  the paper's evaluation protocol (split, k-fold MAE, test MAE/MAPE) and
+  the table builder with its SVR grid search,
 * heterogeneous-cluster speed composition and the end-to-end training-time
   estimator of Eqs. (4)-(5) (:mod:`repro.modeling.training_time`),
 * the empirical-CDF revocation estimator used by Eq. (5)

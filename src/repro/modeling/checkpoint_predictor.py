@@ -12,17 +12,14 @@ checkpoint a model, using the checkpoint file sizes as features:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.cmdare.profiler import CheckpointMeasurement
-from repro.errors import DataError, ModelingError, NotFittedError
-from repro.modeling.linear import LinearRegression
-from repro.modeling.metrics import mean_absolute_error, mean_absolute_percentage_error
-from repro.modeling.model_selection import cross_validate_mae, grid_search_svr, train_test_split
+from repro.modeling.model_selection import (NoTransform, RegressionEvaluation,
+                                            RegressionPredictor, build_models)
 from repro.modeling.preprocessing import PCA
-from repro.modeling.svr import SVR
 from repro.workloads.checkpoints import CheckpointFiles
 
 #: Default SVR hyperparameters used when grid search is skipped.
@@ -48,115 +45,37 @@ class CheckpointModelSpec:
     estimator: str
 
 
-class CheckpointTimePredictor:
-    """One checkpoint-time prediction model."""
+class CheckpointTimePredictor(RegressionPredictor):
+    """One checkpoint-time prediction model, on file sizes in MB."""
+
+    feature_modes = ("sc", "sd_sm", "pca")
+    estimators = ("linear", "svr_rbf")
+    floor = 1e-3
 
     def __init__(self, spec: CheckpointModelSpec, svr_C: float = DEFAULT_SVR_C,
                  svr_epsilon: float = DEFAULT_SVR_EPSILON):
-        if spec.feature_mode not in ("sc", "sd_sm", "pca"):
-            raise ModelingError(f"unknown feature mode {spec.feature_mode!r}")
-        if spec.estimator not in ("linear", "svr_rbf"):
-            raise ModelingError(f"unknown estimator {spec.estimator!r}")
-        self.spec = spec
-        self.svr_C = svr_C
-        self.svr_epsilon = svr_epsilon
-        self._pca: Optional[PCA] = PCA(n_components=2) if spec.feature_mode == "pca" else None
-        self._model = self._make_estimator()
-        self._fitted = False
+        super().__init__(spec, svr_C, svr_epsilon)
 
-    def _make_estimator(self):
-        if self.spec.estimator == "linear":
-            return LinearRegression()
-        return SVR(kernel="rbf", C=self.svr_C, epsilon=self.svr_epsilon)
-
-    # ------------------------------------------------------------------
-    # Feature extraction.
-    # ------------------------------------------------------------------
-    def _raw_features(self, measurements: Sequence[CheckpointMeasurement]) -> np.ndarray:
-        data = np.array([m.data_bytes for m in measurements]) / _MB
-        meta = np.array([m.meta_bytes for m in measurements]) / _MB
-        index = np.array([m.index_bytes for m in measurements]) / _MB
-        total = np.array([m.total_bytes for m in measurements]) / _MB
+    def _raw_features(self, data: np.ndarray, meta: np.ndarray, index: np.ndarray,
+                      total: np.ndarray) -> np.ndarray:
         if self.spec.feature_mode == "sc":
             return total.reshape(-1, 1)
         if self.spec.feature_mode == "sd_sm":
             return np.column_stack([data, meta])
         return np.column_stack([data, meta, index])
 
-    def _features_from_files(self, files: CheckpointFiles) -> np.ndarray:
-        if self.spec.feature_mode == "sc":
-            raw = np.array([[files.total_mb]])
-        elif self.spec.feature_mode == "sd_sm":
-            raw = np.array([[files.data_mb, files.meta_mb]])
-        else:
-            raw = np.array([[files.data_mb, files.meta_mb, files.index_mb]])
-        if self._pca is not None:
-            return self._pca.transform(raw)
-        return raw
+    def _dataset(self, measurements: Sequence[CheckpointMeasurement]):
+        sizes = [np.array([getattr(m, name) for m in measurements]) / _MB
+                 for name in ("data_bytes", "meta_bytes", "index_bytes", "total_bytes")]
+        return self._raw_features(*sizes), np.array([m.duration for m in measurements])
 
-    # ------------------------------------------------------------------
-    # Fitting and prediction.
-    # ------------------------------------------------------------------
-    def fit(self, measurements: Sequence[CheckpointMeasurement]) -> "CheckpointTimePredictor":
-        """Fit the model on checkpoint measurements."""
-        if len(measurements) < 3:
-            raise DataError("need at least three checkpoint measurements")
-        raw = self._raw_features(measurements)
-        targets = np.array([m.duration for m in measurements])
-        if self._pca is not None:
-            features = self._pca.fit_transform(raw)
-        else:
-            features = raw
-        self._model.fit(features, targets)
-        self._fitted = True
-        return self
+    def _make_transform(self):
+        return PCA(n_components=2) if self.spec.feature_mode == "pca" else NoTransform()
 
     def predict_time(self, files: CheckpointFiles) -> float:
         """Predict the checkpoint duration (seconds) for the given files."""
-        if not self._fitted:
-            raise NotFittedError("CheckpointTimePredictor must be fitted first")
-        prediction = float(self._model.predict(self._features_from_files(files))[0])
-        return max(1e-3, prediction)
-
-    # ------------------------------------------------------------------
-    # Evaluation (Table IV protocol).
-    # ------------------------------------------------------------------
-    def evaluate(self, measurements: Sequence[CheckpointMeasurement],
-                 test_fraction: float = 0.2, n_splits: int = 5,
-                 seed: int = 0) -> "CheckpointEvaluation":
-        """Evaluate with the paper's protocol (4:1 split, k-fold CV MAE)."""
-        raw = self._raw_features(measurements)
-        targets = np.array([m.duration for m in measurements])
-        rng = np.random.default_rng(seed)
-        train_x, test_x, train_y, test_y = train_test_split(
-            raw, targets, test_fraction=test_fraction, rng=rng)
-        pca = PCA(n_components=2).fit(train_x) if self._pca is not None else None
-        transform = (lambda x: pca.transform(x)) if pca is not None else (lambda x: x)
-
-        def factory():
-            return CheckpointTimePredictor(self.spec, svr_C=self.svr_C,
-                                           svr_epsilon=self.svr_epsilon)._make_estimator()
-
-        cv = cross_validate_mae(factory, transform(train_x), train_y,
-                                n_splits=min(n_splits, len(train_y)), rng=rng)
-        model = self._make_estimator()
-        model.fit(transform(train_x), train_y)
-        predictions = model.predict(transform(test_x))
-        return CheckpointEvaluation(spec=self.spec, kfold_mae=cv.mean_mae,
-                                    kfold_mae_std=cv.std_mae,
-                                    test_mae=mean_absolute_error(test_y, predictions),
-                                    test_mape=mean_absolute_percentage_error(test_y, predictions))
-
-
-@dataclass(frozen=True)
-class CheckpointEvaluation:
-    """One row of Table IV."""
-
-    spec: CheckpointModelSpec
-    kfold_mae: float
-    kfold_mae_std: float
-    test_mae: float
-    test_mape: float
+        sizes = (files.data_mb, files.meta_mb, files.index_mb, files.total_mb)
+        return self._predict(self._raw_features(*(np.array([size]) for size in sizes)))
 
 
 #: The four models of Table IV, in the paper's row order.
@@ -172,23 +91,12 @@ def build_table4_models(measurements: Sequence[CheckpointMeasurement],
                         use_grid_search: bool = False,
                         seed: int = 0) -> Dict[str, CheckpointTimePredictor]:
     """Fit all four Table IV models on the given checkpoint measurements."""
-    models: Dict[str, CheckpointTimePredictor] = {}
-    for spec in TABLE4_MODEL_SPECS:
-        svr_c, svr_eps = DEFAULT_SVR_C, DEFAULT_SVR_EPSILON
-        if use_grid_search and spec.estimator == "svr_rbf":
-            totals = np.array([[m.total_bytes / _MB] for m in measurements])
-            targets = np.array([m.duration for m in measurements])
-            result = grid_search_svr(totals, targets, kernel="rbf",
-                                     rng=np.random.default_rng(seed))
-            svr_c, svr_eps = result.best_C, result.best_epsilon
-        predictor = CheckpointTimePredictor(spec, svr_C=svr_c, svr_epsilon=svr_eps)
-        predictor.fit(measurements)
-        models[spec.name] = predictor
-    return models
+    return build_models(CheckpointTimePredictor, TABLE4_MODEL_SPECS, measurements,
+                        use_grid_search, seed)
 
 
 def evaluate_table4_models(measurements: Sequence[CheckpointMeasurement],
-                           seed: int = 0) -> List[CheckpointEvaluation]:
+                           seed: int = 0) -> List[RegressionEvaluation]:
     """Produce every row of Table IV for the given measurement dataset."""
     return [CheckpointTimePredictor(spec).evaluate(measurements, seed=seed)
             for spec in TABLE4_MODEL_SPECS]

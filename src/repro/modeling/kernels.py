@@ -10,20 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import DataError
-
-
-def _as_matrix(values) -> np.ndarray:
-    array = np.asarray(values, dtype=float)
-    if array.ndim == 1:
-        array = array.reshape(-1, 1)
-    if array.ndim != 2:
-        raise DataError("kernel inputs must be 1-D or 2-D arrays")
-    return array
+from repro.modeling.preprocessing import as_matrix
 
 
 def linear_kernel(a, b) -> np.ndarray:
     """Plain dot-product kernel ``K(x, y) = x . y``."""
-    left, right = _as_matrix(a), _as_matrix(b)
+    left, right = as_matrix(a), as_matrix(b)
     return left @ right.T
 
 
@@ -35,7 +27,7 @@ def polynomial_kernel(a, b, degree: int = 2, coef0: float = 1.0,
     """
     if degree < 1:
         raise DataError("degree must be >= 1")
-    left, right = _as_matrix(a), _as_matrix(b)
+    left, right = as_matrix(a), as_matrix(b)
     return (gamma * (left @ right.T) + coef0) ** degree
 
 
@@ -47,7 +39,7 @@ def rbf_kernel(a, b, gamma: float = 1.0) -> np.ndarray:
     """
     if gamma <= 0:
         raise DataError("gamma must be positive")
-    left, right = _as_matrix(a), _as_matrix(b)
+    left, right = as_matrix(a), as_matrix(b)
     left_sq = np.sum(left ** 2, axis=1)[:, None]
     right_sq = np.sum(right ** 2, axis=1)[None, :]
     squared_distance = np.maximum(0.0, left_sq + right_sq - 2.0 * (left @ right.T))

@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import DataError, NotFittedError
+from repro.modeling.preprocessing import as_matrix
 
 
 class LinearRegression:
@@ -26,15 +27,6 @@ class LinearRegression:
         self.coef_: Optional[np.ndarray] = None
         self.intercept_: Optional[float] = None
 
-    @staticmethod
-    def _as_matrix(features) -> np.ndarray:
-        matrix = np.asarray(features, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(-1, 1)
-        if matrix.ndim != 2:
-            raise DataError("features must be 1-D or 2-D")
-        return matrix
-
     def fit(self, features, targets) -> "LinearRegression":
         """Fit coefficients and intercept by least squares.
 
@@ -43,7 +35,7 @@ class LinearRegression:
                 1-D array is treated as a single feature).
             targets: Target values of shape ``(n_samples,)``.
         """
-        matrix = self._as_matrix(features)
+        matrix = as_matrix(features)
         target = np.asarray(targets, dtype=float).ravel()
         if matrix.shape[0] != target.shape[0]:
             raise DataError("features and targets must have the same length")
@@ -59,7 +51,7 @@ class LinearRegression:
         """Predict targets for new samples."""
         if self.coef_ is None or self.intercept_ is None:
             raise NotFittedError("LinearRegression must be fitted before predict")
-        matrix = self._as_matrix(features)
+        matrix = as_matrix(features)
         if matrix.shape[1] != self.coef_.shape[0]:
             raise DataError("feature count differs from the fitted data")
         return matrix @ self.coef_ + self.intercept_

@@ -1,4 +1,4 @@
-"""Model selection: train/test splitting, k-fold cross validation, grid search.
+"""Model selection: splits, k-fold cross validation, grid search and the predictor core.
 
 The paper's protocol (Section III-B): random 4:1 train/test split, k-fold
 cross validation on the training data reported as MAE, and grid search over
@@ -9,12 +9,14 @@ the SVR hyperparameters — penalty ``p`` (``C`` here) in [10, 100] with step
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import DataError
-from repro.modeling.metrics import mean_absolute_error
+from repro.errors import DataError, ModelingError, NotFittedError
+from repro.modeling.linear import LinearRegression
+from repro.modeling.metrics import mean_absolute_error, mean_absolute_percentage_error
+from repro.modeling.preprocessing import as_matrix
 from repro.modeling.svr import SVR
 
 #: The paper's SVR hyperparameter grid.
@@ -30,9 +32,7 @@ def train_test_split(features, targets, test_fraction: float = 0.2,
     Returns:
         ``(train_features, test_features, train_targets, test_targets)``.
     """
-    matrix = np.asarray(features, dtype=float)
-    if matrix.ndim == 1:
-        matrix = matrix.reshape(-1, 1)
+    matrix = as_matrix(features)
     target = np.asarray(targets, dtype=float).ravel()
     if matrix.shape[0] != target.shape[0]:
         raise DataError("features and targets must have the same length")
@@ -103,9 +103,7 @@ def cross_validate_mae(model_factory: Callable[[], object], features, targets,
         n_splits: Number of folds.
         rng: Random generator for the fold shuffle.
     """
-    matrix = np.asarray(features, dtype=float)
-    if matrix.ndim == 1:
-        matrix = matrix.reshape(-1, 1)
+    matrix = as_matrix(features)
     target = np.asarray(targets, dtype=float).ravel()
     splitter = KFold(n_splits=n_splits, rng=rng)
     maes: List[float] = []
@@ -165,3 +163,131 @@ def grid_search_svr(features, targets, kernel: str = "rbf",
     assert best is not None
     return GridSearchResult(best_C=best[0], best_epsilon=best[1], best_mae=best[2],
                             results=tuple(results))
+
+
+#: The kernel of each SVR estimator a model spec may name.
+SVR_KERNELS: Dict[str, str] = {"svr_poly": "poly", "svr_rbf": "rbf"}
+
+
+class NoTransform:
+    """The transform of a model fitted on its raw features."""
+
+    def fit(self, features) -> "NoTransform":
+        return self
+
+    def transform(self, features):
+        return features
+
+
+@dataclass(frozen=True)
+class RegressionEvaluation:
+    """One row of Table II or Table IV.
+
+    Attributes:
+        spec: The evaluated model's configuration.
+        kfold_mae: Mean k-fold cross-validation MAE (seconds).
+        kfold_mae_std: Standard deviation across folds.
+        test_mae: MAE on the held-out test split (seconds).
+        test_mape: MAPE on the held-out test split (percent).
+    """
+
+    spec: Any
+    kfold_mae: float
+    kfold_mae_std: float
+    test_mae: float
+    test_mape: float
+
+
+class RegressionPredictor:
+    """One Table II or Table IV model: a fitted feature transform, then an estimator.
+
+    A subclass names the values its ``spec`` may take (``feature_modes``,
+    ``estimators``) and its prediction ``floor``, and supplies two hooks:
+    ``_dataset(measurements)`` returns the raw features and targets of the
+    measurements the model fits on, and ``_make_transform()`` a fresh,
+    unfitted transform whose ``fit`` returns itself.
+    """
+
+    feature_modes: Tuple[str, ...] = ()
+    estimators: Tuple[str, ...] = ()
+    #: Smallest prediction (seconds), so tiny extrapolations never go negative.
+    floor = 0.0
+
+    def __init__(self, spec, svr_C: float, svr_epsilon: float):
+        if spec.feature_mode not in self.feature_modes:
+            raise ModelingError(f"unknown feature mode {spec.feature_mode!r}")
+        if spec.estimator not in self.estimators:
+            raise ModelingError(f"unknown estimator {spec.estimator!r}")
+        self.spec = spec
+        self.svr_C = svr_C
+        self.svr_epsilon = svr_epsilon
+        self._make_estimator()  # a non-positive C or a negative epsilon fails here
+        self._transform = self._model = None
+
+    def _make_estimator(self):
+        if self.spec.estimator == "linear":
+            return LinearRegression()
+        return SVR(kernel=SVR_KERNELS[self.spec.estimator], C=self.svr_C,
+                   epsilon=self.svr_epsilon, degree=2)
+
+    def _fitted_features(self, measurements) -> Tuple[Any, np.ndarray, np.ndarray]:
+        """A transform fitted on the measurements, their features and targets."""
+        features, targets = self._dataset(measurements)
+        if len(targets) < 3:
+            raise DataError(f"need at least three measurements to fit a "
+                            f"{type(self).__name__}")
+        transform = self._make_transform().fit(features)
+        return transform, transform.transform(features), targets
+
+    def fit(self, measurements) -> "RegressionPredictor":
+        """Fit the transform, then the estimator, on the measurements."""
+        transform, features, targets = self._fitted_features(measurements)
+        self._model = self._make_estimator().fit(features, targets)
+        self._transform = transform
+        return self
+
+    def _check_fitted(self) -> None:
+        if self._model is None:
+            raise NotFittedError(f"{type(self).__name__} must be fitted before predicting")
+
+    def _predict(self, raw: np.ndarray) -> float:
+        """The floored prediction for one row of raw features."""
+        self._check_fitted()
+        return max(self.floor, float(self._model.predict(self._transform.transform(raw))[0]))
+
+    def evaluate(self, measurements, test_fraction: float = 0.2, n_splits: int = 5,
+                 seed: int = 0) -> RegressionEvaluation:
+        """Evaluate with the paper's protocol: a 4:1 split, a transform fitted
+        on the training part, k-fold CV MAE there, then test MAE and MAPE."""
+        features, targets = self._dataset(measurements)
+        rng = np.random.default_rng(seed)
+        train_x, test_x, train_y, test_y = train_test_split(
+            features, targets, test_fraction=test_fraction, rng=rng)
+        transform = self._make_transform().fit(train_x)
+        train_x, test_x = transform.transform(train_x), transform.transform(test_x)
+        cv = cross_validate_mae(self._make_estimator, train_x, train_y,
+                                n_splits=min(n_splits, len(train_y)), rng=rng)
+        predictions = self._make_estimator().fit(train_x, train_y).predict(test_x)
+        return RegressionEvaluation(self.spec, cv.mean_mae, cv.std_mae,
+                                    mean_absolute_error(test_y, predictions),
+                                    mean_absolute_percentage_error(test_y, predictions))
+
+
+def build_models(predictor_type: type, specs: Sequence[Any], measurements,
+                 use_grid_search: bool = False, seed: int = 0) -> Dict[str, RegressionPredictor]:
+    """Fit one ``predictor_type`` per spec, keyed by the spec's name.
+
+    With ``use_grid_search`` each SVR's ``C`` and epsilon come from :func:`grid_search_svr`
+    (seeded by ``seed``) on the features that SVR is fitted on, else from its defaults.
+    """
+    models: Dict[str, RegressionPredictor] = {}
+    for spec in specs:
+        predictor = predictor_type(spec)
+        if use_grid_search and spec.estimator in SVR_KERNELS:
+            _, features, targets = predictor._fitted_features(measurements)
+            best = grid_search_svr(features, targets, SVR_KERNELS[spec.estimator],
+                                   rng=np.random.default_rng(seed))
+            predictor = predictor_type(spec, svr_C=best.best_C,
+                                       svr_epsilon=best.best_epsilon)
+        models[spec.name] = predictor.fit(measurements)
+    return models

@@ -16,15 +16,22 @@ import numpy as np
 from repro.errors import DataError, NotFittedError
 
 
-def _as_matrix(features) -> np.ndarray:
-    array = np.asarray(features, dtype=float)
-    if array.ndim == 1:
-        array = array.reshape(-1, 1)
-    if array.ndim != 2:
+def as_matrix(features) -> np.ndarray:
+    """``features`` as a float matrix with one sample a row (a 1-D array is
+    one feature); every estimator, kernel and transform coerces through it."""
+    matrix = np.asarray(features, dtype=float)
+    if matrix.ndim == 1:
+        matrix = matrix.reshape(-1, 1)
+    if matrix.ndim != 2:
         raise DataError("features must be a 1-D or 2-D array")
-    if array.shape[0] == 0:
+    return matrix
+
+
+def _samples(features) -> np.ndarray:
+    matrix = as_matrix(features)
+    if matrix.shape[0] == 0:
         raise DataError("features must contain at least one sample")
-    return array
+    return matrix
 
 
 class MinMaxScaler:
@@ -36,7 +43,7 @@ class MinMaxScaler:
 
     def fit(self, features) -> "MinMaxScaler":
         """Learn per-feature minima and maxima."""
-        matrix = _as_matrix(features)
+        matrix = _samples(features)
         self.data_min_ = matrix.min(axis=0)
         self.data_max_ = matrix.max(axis=0)
         return self
@@ -50,7 +57,7 @@ class MinMaxScaler:
         """
         if self.data_min_ is None or self.data_max_ is None:
             raise NotFittedError("MinMaxScaler must be fitted before transform")
-        matrix = _as_matrix(features)
+        matrix = _samples(features)
         if matrix.shape[1] != self.data_min_.shape[0]:
             raise DataError("feature count differs from the fitted data")
         span = self.data_max_ - self.data_min_
@@ -65,7 +72,7 @@ class MinMaxScaler:
         """Map scaled values back to the original range."""
         if self.data_min_ is None or self.data_max_ is None:
             raise NotFittedError("MinMaxScaler must be fitted before inverse_transform")
-        matrix = _as_matrix(scaled)
+        matrix = _samples(scaled)
         span = self.data_max_ - self.data_min_
         return matrix * span + self.data_min_
 
@@ -79,7 +86,7 @@ class StandardScaler:
 
     def fit(self, features) -> "StandardScaler":
         """Learn per-feature means and standard deviations."""
-        matrix = _as_matrix(features)
+        matrix = _samples(features)
         self.mean_ = matrix.mean(axis=0)
         std = matrix.std(axis=0)
         self.scale_ = np.where(std == 0, 1.0, std)
@@ -89,7 +96,7 @@ class StandardScaler:
         """Standardize features with the fitted statistics."""
         if self.mean_ is None or self.scale_ is None:
             raise NotFittedError("StandardScaler must be fitted before transform")
-        matrix = _as_matrix(features)
+        matrix = _samples(features)
         if matrix.shape[1] != self.mean_.shape[0]:
             raise DataError("feature count differs from the fitted data")
         return (matrix - self.mean_) / self.scale_
@@ -120,7 +127,7 @@ class PCA:
 
     def fit(self, features) -> "PCA":
         """Fit the principal components of the (centered) feature matrix."""
-        matrix = _as_matrix(features)
+        matrix = _samples(features)
         if self.n_components > matrix.shape[1]:
             raise DataError("n_components cannot exceed the number of features")
         if matrix.shape[0] < 2:
@@ -140,7 +147,7 @@ class PCA:
         """Project features onto the fitted principal components."""
         if self.components_ is None or self.mean_ is None:
             raise NotFittedError("PCA must be fitted before transform")
-        matrix = _as_matrix(features)
+        matrix = _samples(features)
         if matrix.shape[1] != self.mean_.shape[0]:
             raise DataError("feature count differs from the fitted data")
         return (matrix - self.mean_) @ self.components_.T

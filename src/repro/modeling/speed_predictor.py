@@ -24,12 +24,9 @@ import numpy as np
 
 from repro.cloud.gpus import get_gpu
 from repro.cmdare.profiler import SpeedMeasurement
-from repro.errors import DataError, ModelingError, NotFittedError
-from repro.modeling.linear import LinearRegression
-from repro.modeling.metrics import mean_absolute_error, mean_absolute_percentage_error
-from repro.modeling.model_selection import cross_validate_mae, grid_search_svr, train_test_split
+from repro.errors import DataError, ModelingError
+from repro.modeling.model_selection import RegressionEvaluation, RegressionPredictor, build_models
 from repro.modeling.preprocessing import MinMaxScaler
-from repro.modeling.svr import SVR
 from repro.perf.ps_capacity import PSCapacityModel
 
 #: Default SVR hyperparameters used when grid search is skipped; the values
@@ -58,8 +55,8 @@ class StepTimeModelSpec:
     gpu_name: Optional[str] = None
 
 
-class StepTimePredictor:
-    """One step-time prediction model.
+class StepTimePredictor(RegressionPredictor):
+    """One step-time prediction model, on min-max scaled features.
 
     Args:
         spec: Model configuration (features, estimator, GPU specificity).
@@ -67,27 +64,13 @@ class StepTimePredictor:
         svr_epsilon: SVR epsilon-tube width.
     """
 
+    feature_modes = ("cnorm", "cm_cgpu", "cm")
+    estimators = ("linear", "svr_poly", "svr_rbf")
+    floor = 1e-4
+
     def __init__(self, spec: StepTimeModelSpec, svr_C: float = DEFAULT_SVR_C,
                  svr_epsilon: float = DEFAULT_SVR_EPSILON):
-        if spec.feature_mode not in ("cnorm", "cm_cgpu", "cm"):
-            raise ModelingError(f"unknown feature mode {spec.feature_mode!r}")
-        if spec.estimator not in ("linear", "svr_poly", "svr_rbf"):
-            raise ModelingError(f"unknown estimator {spec.estimator!r}")
-        self.spec = spec
-        self.svr_C = svr_C
-        self.svr_epsilon = svr_epsilon
-        self._scaler = MinMaxScaler()
-        self._model = self._make_estimator()
-        self._fitted = False
-
-    # ------------------------------------------------------------------
-    # Internal construction.
-    # ------------------------------------------------------------------
-    def _make_estimator(self):
-        if self.spec.estimator == "linear":
-            return LinearRegression()
-        kernel = "poly" if self.spec.estimator == "svr_poly" else "rbf"
-        return SVR(kernel=kernel, C=self.svr_C, epsilon=self.svr_epsilon, degree=2)
+        super().__init__(spec, svr_C, svr_epsilon)
 
     def _raw_features(self, gflops: np.ndarray, teraflops: np.ndarray) -> np.ndarray:
         if self.spec.feature_mode == "cnorm":
@@ -96,31 +79,19 @@ class StepTimePredictor:
             return np.column_stack([gflops, teraflops])
         return gflops.reshape(-1, 1)
 
-    def _select(self, measurements: Sequence[SpeedMeasurement]
-                ) -> List[SpeedMeasurement]:
-        if self.spec.gpu_name is None:
-            return list(measurements)
-        gpu = get_gpu(self.spec.gpu_name)
-        selected = [m for m in measurements if m.gpu_name == gpu.name]
-        if not selected:
-            raise DataError(f"no measurements for GPU {gpu.name!r}")
-        return selected
+    def _dataset(self, measurements: Sequence[SpeedMeasurement]):
+        selected = list(measurements)
+        if self.spec.gpu_name is not None:
+            gpu = get_gpu(self.spec.gpu_name)
+            selected = [m for m in selected if m.gpu_name == gpu.name]
+            if not selected:
+                raise DataError(f"no measurements for GPU {gpu.name!r}")
+        raw = self._raw_features(np.array([m.model_gflops for m in selected]),
+                                 np.array([m.gpu_teraflops for m in selected]))
+        return raw, np.array([m.step_time for m in selected])
 
-    # ------------------------------------------------------------------
-    # Fitting and prediction.
-    # ------------------------------------------------------------------
-    def fit(self, measurements: Sequence[SpeedMeasurement]) -> "StepTimePredictor":
-        """Fit the model on single-worker speed measurements."""
-        selected = self._select(measurements)
-        if len(selected) < 3:
-            raise DataError("need at least three measurements to fit a step-time model")
-        gflops = np.array([m.model_gflops for m in selected])
-        teraflops = np.array([m.gpu_teraflops for m in selected])
-        targets = np.array([m.step_time for m in selected])
-        features = self._scaler.fit_transform(self._raw_features(gflops, teraflops))
-        self._model.fit(features, targets)
-        self._fitted = True
-        return self
+    def _make_transform(self) -> MinMaxScaler:
+        return MinMaxScaler()
 
     def predict_step_time(self, model_gflops: float, gpu_name: str) -> float:
         """Predict the step time (seconds) of one worker.
@@ -129,75 +100,18 @@ class StepTimePredictor:
             model_gflops: Model complexity ``Cm`` in GFLOPs.
             gpu_name: GPU type of the worker.
         """
-        if not self._fitted:
-            raise NotFittedError("StepTimePredictor must be fitted before predicting")
+        self._check_fitted()
         gpu = get_gpu(gpu_name)
         if self.spec.gpu_name is not None and gpu.name != get_gpu(self.spec.gpu_name).name:
             raise ModelingError(
                 f"model {self.spec.name!r} is specific to {self.spec.gpu_name!r}; "
                 f"asked about {gpu_name!r}")
-        raw = self._raw_features(np.array([model_gflops]), np.array([gpu.teraflops]))
-        features = self._scaler.transform(raw)
-        prediction = float(self._model.predict(features)[0])
-        # A step never takes negative time; clip tiny extrapolations.
-        return max(1e-4, prediction)
+        return self._predict(self._raw_features(np.array([model_gflops]),
+                                                np.array([gpu.teraflops])))
 
     def predict_speed(self, model_gflops: float, gpu_name: str) -> float:
         """Predict the training speed (steps/second) of one worker."""
         return 1.0 / self.predict_step_time(model_gflops, gpu_name)
-
-    # ------------------------------------------------------------------
-    # Evaluation.
-    # ------------------------------------------------------------------
-    def evaluate(self, measurements: Sequence[SpeedMeasurement],
-                 test_fraction: float = 0.2, n_splits: int = 5,
-                 seed: int = 0) -> "StepTimeEvaluation":
-        """Evaluate with the paper's protocol (4:1 split, k-fold CV MAE)."""
-        selected = self._select(measurements)
-        gflops = np.array([m.model_gflops for m in selected])
-        teraflops = np.array([m.gpu_teraflops for m in selected])
-        targets = np.array([m.step_time for m in selected])
-        raw = self._raw_features(gflops, teraflops)
-        rng = np.random.default_rng(seed)
-        train_x, test_x, train_y, test_y = train_test_split(
-            raw, targets, test_fraction=test_fraction, rng=rng)
-
-        scaler = MinMaxScaler().fit(train_x)
-
-        def factory():
-            predictor = StepTimePredictor(self.spec, svr_C=self.svr_C,
-                                          svr_epsilon=self.svr_epsilon)
-            return predictor._make_estimator()
-
-        cv = cross_validate_mae(factory, scaler.transform(train_x), train_y,
-                                n_splits=min(n_splits, len(train_y)), rng=rng)
-        final_model = self._make_estimator()
-        final_model.fit(scaler.transform(train_x), train_y)
-        predictions = final_model.predict(scaler.transform(test_x))
-        test_mae = mean_absolute_error(test_y, predictions)
-        test_mape = mean_absolute_percentage_error(test_y, predictions)
-        return StepTimeEvaluation(spec=self.spec, kfold_mae=cv.mean_mae,
-                                  kfold_mae_std=cv.std_mae, test_mae=test_mae,
-                                  test_mape=test_mape)
-
-
-@dataclass(frozen=True)
-class StepTimeEvaluation:
-    """One row of Table II.
-
-    Attributes:
-        spec: The evaluated model's configuration.
-        kfold_mae: Mean k-fold cross-validation MAE (seconds).
-        kfold_mae_std: Standard deviation across folds.
-        test_mae: MAE on the held-out test split (seconds).
-        test_mape: MAPE on the held-out test split (percent).
-    """
-
-    spec: StepTimeModelSpec
-    kfold_mae: float
-    kfold_mae_std: float
-    test_mae: float
-    test_mape: float
 
 
 #: The eight models of Table II, in the paper's row order.
@@ -222,36 +136,17 @@ def build_table2_models(measurements: Sequence[SpeedMeasurement],
         measurements: Single-worker speed measurements across models/GPUs.
         use_grid_search: Run the paper's full hyperparameter grid search for
             the SVR models (slower); otherwise mid-range defaults are used.
-        seed: Seed for splits and grid-search shuffling.
+        seed: Seed for the grid-search shuffling.
     """
-    models: Dict[str, StepTimePredictor] = {}
-    for spec in TABLE2_MODEL_SPECS:
-        svr_c, svr_eps = DEFAULT_SVR_C, DEFAULT_SVR_EPSILON
-        if use_grid_search and spec.estimator.startswith("svr"):
-            gpu = get_gpu(spec.gpu_name) if spec.gpu_name else None
-            selected = [m for m in measurements
-                        if gpu is None or m.gpu_name == gpu.name]
-            gflops = np.array([[m.model_gflops] for m in selected])
-            targets = np.array([m.step_time for m in selected])
-            scaled = MinMaxScaler().fit_transform(gflops)
-            kernel = "poly" if spec.estimator == "svr_poly" else "rbf"
-            result = grid_search_svr(scaled, targets, kernel=kernel,
-                                     rng=np.random.default_rng(seed))
-            svr_c, svr_eps = result.best_C, result.best_epsilon
-        predictor = StepTimePredictor(spec, svr_C=svr_c, svr_epsilon=svr_eps)
-        predictor.fit(measurements)
-        models[spec.name] = predictor
-    return models
+    return build_models(StepTimePredictor, TABLE2_MODEL_SPECS, measurements,
+                        use_grid_search, seed)
 
 
 def evaluate_table2_models(measurements: Sequence[SpeedMeasurement],
-                           seed: int = 0) -> List[StepTimeEvaluation]:
+                           seed: int = 0) -> List[RegressionEvaluation]:
     """Produce every row of Table II for the given measurement dataset."""
-    rows: List[StepTimeEvaluation] = []
-    for spec in TABLE2_MODEL_SPECS:
-        predictor = StepTimePredictor(spec)
-        rows.append(predictor.evaluate(measurements, seed=seed))
-    return rows
+    return [StepTimePredictor(spec).evaluate(measurements, seed=seed)
+            for spec in TABLE2_MODEL_SPECS]
 
 
 class ClusterSpeedPredictor:

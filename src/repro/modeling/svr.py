@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import DataError, ModelingError, NotFittedError
 from repro.modeling.kernels import linear_kernel, polynomial_kernel, rbf_kernel
+from repro.modeling.preprocessing import as_matrix
 
 
 def _make_kernel(kernel: str, degree: int, gamma: Optional[float],
@@ -73,15 +74,6 @@ class SVR:
     # ------------------------------------------------------------------
     # Internal helpers.
     # ------------------------------------------------------------------
-    @staticmethod
-    def _as_matrix(features) -> np.ndarray:
-        matrix = np.asarray(features, dtype=float)
-        if matrix.ndim == 1:
-            matrix = matrix.reshape(-1, 1)
-        if matrix.ndim != 2:
-            raise DataError("features must be 1-D or 2-D")
-        return matrix
-
     def _resolve_gamma(self, matrix: np.ndarray) -> float:
         if self.gamma is not None:
             return float(self.gamma)
@@ -100,7 +92,7 @@ class SVR:
         # double their start-up time and memory.
         from scipy.optimize import minimize
 
-        matrix = self._as_matrix(features)
+        matrix = as_matrix(features)
         target = np.asarray(targets, dtype=float).ravel()
         if matrix.shape[0] != target.shape[0]:
             raise DataError("features and targets must have the same length")
@@ -171,7 +163,7 @@ class SVR:
         if (self.support_vectors_ is None or self.dual_coef_ is None
                 or self.intercept_ is None):
             raise NotFittedError("SVR must be fitted before predict")
-        matrix = self._as_matrix(features)
+        matrix = as_matrix(features)
         if matrix.shape[1] != self.support_vectors_.shape[1]:
             raise DataError("feature count differs from the fitted data")
         kernel_fn = _make_kernel(self.kernel, self.degree, self._gamma_value, self.coef0)

@@ -42,7 +42,7 @@ when off — the golden-fixture contract of
   returns as still-running warm servers, and replacements granted from
   one pay the Fig. 10 warm overhead instead of a cold boot;
 * **adaptive placement** (``placement="adaptive"``): the pool-aware
-  :meth:`repro.modeling.launch_advisor.LaunchAdvisor.place` mode picks
+  :meth:`repro.modeling.launch_advisor.LaunchAdvisor.answer` mode picks
   each worker's region from live pool availability plus the revocation
   calibration, at launch and when a replacement would be denied.
 

@@ -16,6 +16,9 @@
   builds its rows from scratch), and :func:`add_at_hour_distribution` the
   ``np.add.at`` exposure histogram; the batched ``sum(axis=1)`` and
   ``np.bincount`` must give the same bits.
+* :func:`protocol_row` is the paper's model evaluation protocol written
+  out step by step for one model; every Table II and Table IV row must
+  equal it float for float.
 
 :func:`use_reference` swaps either one into the production classes for a
 test, so whole fleets and services run on the reference path.
@@ -30,6 +33,8 @@ import zlib
 import numpy as np
 
 from repro.cloud.revocation import MAX_TRANSIENT_LIFETIME_HOURS, RevocationModel
+from repro.modeling.metrics import mean_absolute_error, mean_absolute_percentage_error
+from repro.modeling.model_selection import KFold, train_test_split
 from repro.modeling.placement import ScoreTable
 from repro.scenarios.fleet import FleetRun
 from repro.units import hour_bins
@@ -166,6 +171,29 @@ def add_at_hour_distribution(shape, scale, launch_bin):
               density * dt)
     total = distribution.sum()
     return distribution / total if total > 0 else distribution
+
+
+def protocol_row(features, targets, transform, make_estimator, seed,
+                 test_fraction=0.2, n_splits=5):
+    """``(kfold_mae, kfold_mae_std, test_mae, test_mape)`` of one model: a
+    4:1 split, ``transform`` (or none) fitted on the training part, k-fold
+    MAE there with a fresh ``make_estimator()`` per fold, then one fit on the
+    whole training part scored on the test part, all on one generator."""
+    rng = np.random.default_rng(seed)
+    train_x, test_x, train_y, test_y = train_test_split(
+        features, targets, test_fraction=test_fraction, rng=rng)
+    if transform is not None:
+        transform.fit(train_x)
+        train_x, test_x = transform.transform(train_x), transform.transform(test_x)
+    folds = KFold(n_splits=min(n_splits, len(train_y)), rng=rng)
+    maes = np.array([
+        mean_absolute_error(train_y[held], make_estimator().fit(
+            train_x[kept], train_y[kept]).predict(train_x[held]))
+        for kept, held in folds.split(len(train_y))])
+    predictions = make_estimator().fit(train_x, train_y).predict(test_x)
+    return (float(maes.mean()), float(maes.std(ddof=1)),
+            mean_absolute_error(test_y, predictions),
+            mean_absolute_percentage_error(test_y, predictions))
 
 
 def use_reference(monkeypatch, scheduler="wakeset", score_backend="table"):

@@ -53,6 +53,7 @@ def test_spec_round_trips():
     "", "seed=5", "unknown_kind:at=1", "shard_crash:at=0",
     "shard_crash:shard=-1", "shard_crash:at", "shard_crash:nope=1",
     "shard_crash:at=soon", "seed=pi;shard_crash",
+    "serve_hang:seconds=nan", "serve_hang:seconds=-5", "serve_hang:seconds=0",
 ])
 def test_malformed_specs_are_configuration_errors(bad):
     with pytest.raises(ConfigurationError):

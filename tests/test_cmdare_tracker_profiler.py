@@ -75,27 +75,12 @@ def test_profiler_records_and_filters():
     assert std == 0.0
 
 
-def test_profiler_feature_matrices():
-    profiler = PerformanceProfiler()
-    for gflops, tflops, step in ((0.59, 4.11, 0.105), (1.54, 4.11, 0.219),
-                                 (2.41, 4.11, 0.387)):
-        profiler.record_speed(SpeedMeasurement("m", "k80", gflops, tflops, step))
-    features, targets, measurements = profiler.speed_feature_matrix("k80")
-    assert features.shape == (3, 2)
-    assert targets.shape == (3,)
-    assert len(measurements) == 3
-    with pytest.raises(DataError):
-        profiler.speed_feature_matrix("v100")
-
-
 def test_profiler_checkpoint_handling():
     profiler = PerformanceProfiler()
     profiler.record_checkpoint(CheckpointMeasurement("resnet_32", 40 * 2 ** 20,
                                                      5 * 2 ** 10, 300 * 2 ** 10, 3.8))
     profiler.record_checkpoint(CheckpointMeasurement("resnet_32", 40 * 2 ** 20,
                                                      5 * 2 ** 10, 300 * 2 ** 10, 3.9))
-    features, targets, _ = profiler.checkpoint_feature_matrix()
-    assert features.shape == (2, 4)
     mean, std = profiler.mean_checkpoint_time("resnet_32")
     assert mean == pytest.approx(3.85)
     assert std > 0
@@ -109,8 +94,6 @@ def test_profiler_rejects_invalid_measurements():
         profiler.record_speed(SpeedMeasurement("m", "k80", 1.0, 4.11, 0.0))
     with pytest.raises(DataError):
         profiler.record_checkpoint(CheckpointMeasurement("m", 1, 1, 1, 0.0))
-    with pytest.raises(DataError):
-        profiler.checkpoint_feature_matrix()
 
 
 def test_speed_measurement_derived_properties():

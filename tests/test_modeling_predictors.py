@@ -1,14 +1,19 @@
 """Tests for the Table II / Table IV predictors and cluster-speed composition."""
 
+import numpy as np
 import pytest
 
 from repro.errors import DataError, ModelingError, NotFittedError
+from repro.modeling import checkpoint_predictor, model_selection, speed_predictor
 from repro.modeling.checkpoint_predictor import (
     TABLE4_MODEL_SPECS,
     CheckpointTimePredictor,
     build_table4_models,
     evaluate_table4_models,
 )
+from repro.modeling.linear import LinearRegression
+from repro.modeling.model_selection import GridSearchResult
+from repro.modeling.preprocessing import PCA, MinMaxScaler
 from repro.modeling.speed_predictor import (
     TABLE2_MODEL_SPECS,
     ClusterSpeedPredictor,
@@ -17,7 +22,13 @@ from repro.modeling.speed_predictor import (
     build_table2_models,
     evaluate_table2_models,
 )
+from repro.modeling.svr import SVR
 from repro.perf.ps_capacity import PSCapacityModel
+
+from oracles import protocol_row
+
+_MB = 1024.0 * 1024.0
+_KERNELS = {"svr_poly": "poly", "svr_rbf": "rbf"}
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +39,44 @@ def speed_measurements(speed_dataset):
 @pytest.fixture(scope="module")
 def checkpoint_measurements(checkpoint_dataset):
     return checkpoint_dataset.measurements()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_subset(checkpoint_measurements):
+    """Every fourth checkpoint measurement: Table IV's SVR fits in ~80
+    samples dominate its evaluation time on the full dataset."""
+    return checkpoint_measurements[::4]
+
+
+@pytest.fixture(scope="module")
+def table2_rows(speed_measurements):
+    return evaluate_table2_models(speed_measurements, seed=3)
+
+
+def _estimator(spec, module):
+    """A fresh-estimator factory for ``spec``, with ``module``'s SVR defaults."""
+    if spec.estimator == "linear":
+        return LinearRegression
+    return lambda: SVR(kernel=_KERNELS[spec.estimator], C=module.DEFAULT_SVR_C,
+                       epsilon=module.DEFAULT_SVR_EPSILON, degree=2)
+
+
+def _table2_dataset(spec, measurements):
+    chosen = [m for m in measurements if spec.gpu_name in (None, m.gpu_name)]
+    gflops = np.array([m.model_gflops for m in chosen])
+    teraflops = np.array([m.gpu_teraflops for m in chosen])
+    columns = {"cnorm": [gflops / teraflops], "cm_cgpu": [gflops, teraflops],
+               "cm": [gflops]}[spec.feature_mode]
+    return np.column_stack(columns), np.array([m.step_time for m in chosen])
+
+
+def _table4_dataset(spec, measurements):
+    data, meta, index, total = (np.array([getattr(m, name) for m in measurements]) / _MB
+                                for name in ("data_bytes", "meta_bytes", "index_bytes",
+                                             "total_bytes"))
+    columns = {"sc": [total], "sd_sm": [data, meta],
+               "pca": [data, meta, index]}[spec.feature_mode]
+    return np.column_stack(columns), np.array([m.duration for m in measurements])
 
 
 def test_table2_has_eight_models():
@@ -53,9 +102,8 @@ def test_gpu_specific_predictor_accuracy(speed_measurements, catalog):
         assert abs(svr.predict_step_time(gflops, "k80") - truth[name]) < 0.06
 
 
-def test_svr_rbf_beats_gpu_agnostic_multivariate(speed_measurements):
-    rows = {row.spec.name: row for row in evaluate_table2_models(speed_measurements,
-                                                                 seed=3)}
+def test_svr_rbf_beats_gpu_agnostic_multivariate(table2_rows):
+    rows = {row.spec.name: row for row in table2_rows}
     assert rows["SVR RBF Kernel, K80"].test_mae < rows["Multivariate, GPU-agnostic"].test_mae
     # The paper's headline: GPU-specific SVR-RBF reaches ~9% MAPE; allow slack
     # for the smaller simulated dataset.
@@ -80,6 +128,8 @@ def test_predictor_rejects_unknown_modes():
         StepTimePredictor(StepTimeModelSpec("x", "bad", "linear", None))
     with pytest.raises(ModelingError):
         StepTimePredictor(StepTimeModelSpec("x", "cm", "bad", None))
+    with pytest.raises(ModelingError):
+        StepTimePredictor(TABLE2_MODEL_SPECS[3], svr_C=0.0)
 
 
 def test_predictor_requires_enough_data(speed_measurements):
@@ -169,8 +219,91 @@ def test_checkpoint_evaluation_rows(checkpoint_measurements):
 def test_checkpoint_predictor_validation(checkpoint_measurements, catalog):
     with pytest.raises(ModelingError):
         CheckpointTimePredictor(TABLE4_MODEL_SPECS[0].__class__("x", "bad", "linear"))
+    with pytest.raises(ModelingError):
+        CheckpointTimePredictor(TABLE4_MODEL_SPECS[-1], svr_epsilon=-0.1)
     with pytest.raises(NotFittedError):
         CheckpointTimePredictor(TABLE4_MODEL_SPECS[0]).predict_time(
             catalog.profile("resnet_15").checkpoint)
     with pytest.raises(DataError):
         CheckpointTimePredictor(TABLE4_MODEL_SPECS[0]).fit(checkpoint_measurements[:2])
+
+
+def test_table2_rows_follow_the_protocol_step_by_step(speed_measurements, table2_rows):
+    assert [row.spec for row in table2_rows] == list(TABLE2_MODEL_SPECS)
+    for row in table2_rows:
+        features, targets = _table2_dataset(row.spec, speed_measurements)
+        expected = protocol_row(features, targets, MinMaxScaler(),
+                                _estimator(row.spec, speed_predictor), seed=3)
+        assert (row.kfold_mae, row.kfold_mae_std, row.test_mae, row.test_mape) == expected, \
+            row.spec.name
+
+
+def test_table4_rows_follow_the_protocol_step_by_step(checkpoint_subset):
+    rows = evaluate_table4_models(checkpoint_subset, seed=2)
+    assert [row.spec for row in rows] == list(TABLE4_MODEL_SPECS)
+    for row in rows:
+        features, targets = _table4_dataset(row.spec, checkpoint_subset)
+        transform = PCA(n_components=2) if row.spec.feature_mode == "pca" else None
+        expected = protocol_row(features, targets, transform,
+                                _estimator(row.spec, checkpoint_predictor), seed=2)
+        assert (row.kfold_mae, row.kfold_mae_std, row.test_mae, row.test_mape) == expected, \
+            row.spec.name
+
+
+def _stub_grid_search(monkeypatch):
+    """Replace the builders' grid search by a recorder answering C=30, epsilon=0.07."""
+    calls = []
+
+    def grid_search_svr(features, targets, kernel, rng):
+        calls.append((features, targets, kernel, rng.integers(2 ** 31)))
+        return GridSearchResult(best_C=30.0, best_epsilon=0.07, best_mae=0.0, results=())
+
+    monkeypatch.setattr(model_selection, "grid_search_svr", grid_search_svr)
+    return calls
+
+
+def test_table2_grid_search_tunes_each_svr_on_its_scaled_gflops(monkeypatch,
+                                                                speed_measurements, catalog):
+    calls = _stub_grid_search(monkeypatch)
+    models = build_table2_models(speed_measurements, use_grid_search=True, seed=4)
+    svr_specs = [spec for spec in TABLE2_MODEL_SPECS if spec.estimator in _KERNELS]
+    assert len(calls) == len(svr_specs) == 4
+    gflops = catalog.profile("resnet_32").gflops
+    for spec, (features, targets, kernel, draw) in zip(svr_specs, calls):
+        chosen = [m for m in speed_measurements if m.gpu_name == spec.gpu_name]
+        scaled = MinMaxScaler().fit_transform(np.array([[m.model_gflops] for m in chosen]))
+        np.testing.assert_array_equal(features, scaled)
+        np.testing.assert_array_equal(targets, [m.step_time for m in chosen])
+        assert kernel == _KERNELS[spec.estimator]
+        assert draw == np.random.default_rng(4).integers(2 ** 31)
+        model = models[spec.name]
+        assert (model.svr_C, model.svr_epsilon) == (30.0, 0.07)
+        tuned = StepTimePredictor(spec, svr_C=30.0, svr_epsilon=0.07).fit(speed_measurements)
+        assert (model.predict_step_time(gflops, spec.gpu_name)
+                == tuned.predict_step_time(gflops, spec.gpu_name))
+    for spec in TABLE2_MODEL_SPECS:
+        if spec.estimator == "linear":
+            assert (models[spec.name].svr_C, models[spec.name].svr_epsilon) == (
+                speed_predictor.DEFAULT_SVR_C, speed_predictor.DEFAULT_SVR_EPSILON)
+
+
+def test_table4_grid_search_tunes_the_svr_on_total_megabytes(monkeypatch,
+                                                             checkpoint_subset, catalog):
+    calls = _stub_grid_search(monkeypatch)
+    models = build_table4_models(checkpoint_subset, use_grid_search=True, seed=4)
+    assert len(calls) == 1
+    features, targets, kernel, draw = calls[0]
+    np.testing.assert_array_equal(
+        features, np.array([[m.total_bytes / _MB] for m in checkpoint_subset]))
+    np.testing.assert_array_equal(targets, [m.duration for m in checkpoint_subset])
+    assert kernel == "rbf"
+    assert draw == np.random.default_rng(4).integers(2 ** 31)
+    spec = TABLE4_MODEL_SPECS[-1]
+    model = models[spec.name]
+    assert (model.svr_C, model.svr_epsilon) == (30.0, 0.07)
+    files = catalog.profile("resnet_32").checkpoint
+    tuned = CheckpointTimePredictor(spec, svr_C=30.0, svr_epsilon=0.07).fit(checkpoint_subset)
+    assert model.predict_time(files) == tuned.predict_time(files)
+    for spec in TABLE4_MODEL_SPECS[:-1]:
+        assert (models[spec.name].svr_C, models[spec.name].svr_epsilon) == (
+            checkpoint_predictor.DEFAULT_SVR_C, checkpoint_predictor.DEFAULT_SVR_EPSILON)
