@@ -43,6 +43,11 @@ bare ``seed=N`` entry::
     REPRO_CHAOS="shard_crash:shard=0,at=2;shard_crash:shard=1,at=1"
     REPRO_CHAOS="serve_reset:at=1;serve_reset:at=3;seed=7"
 
+Each ``key`` names a :class:`Fault` field, and its value is read with that
+field's declared :mod:`repro.schema` kind (:func:`repro.schema.from_text`),
+so a spec accepts exactly what the field does.  :meth:`FaultPlan.to_spec`
+writes floats with ``repr``, so a plan survives the round trip.
+
 Every injection appends a JSON line to the file named by
 ``REPRO_CHAOS_LOG`` (when set), so a chaos run leaves an auditable trace
 of what was broken and what the supervisor did about it.
@@ -59,7 +64,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import config
 from repro.errors import ConfigurationError
-from repro.schema import check, choice, declare, integer, optional, real
+from repro.schema import (check, choice, declare, from_text, integer, optional,
+                          real)
 
 #: Exit code chaos-killed processes die with (distinctive in logs).
 CHAOS_EXIT_CODE = 37
@@ -110,9 +116,16 @@ class Fault:
             default = field.default
             if value is None or value == default:
                 continue
-            parts.append(f"{field.name}={value:g}" if isinstance(value, float)
+            parts.append(f"{field.name}={float(value)!r}"
+                         if isinstance(value, float)
                          else f"{field.name}={value}")
         return self.kind if not parts else f"{self.kind}:{','.join(parts)}"
+
+
+#: The kind of each ``key=value`` parameter: every :class:`Fault` field but
+#: ``kind``, which names the entry.
+_PARAMETERS = {field.name: field.metadata["kind"] for field in fields(Fault)
+               if field.name != "kind"}
 
 
 def _parse_entry(entry: str) -> Fault:
@@ -127,14 +140,11 @@ def _parse_entry(entry: str) -> Fault:
                 raise ConfigurationError(
                     f"malformed fault parameter {token!r} in {entry!r}; "
                     f"expected key=value")
-            if key not in ("at", "shard", "cell", "incarnation", "seconds"):
+            if key not in _PARAMETERS:
                 raise ConfigurationError(
                     f"unknown fault parameter {key!r} in {entry!r}")
-            try:
-                params[key] = float(raw) if key == "seconds" else int(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"fault parameter {key!r} expects a number, got {raw!r}")
+            params[key] = from_text(_PARAMETERS[key], raw,
+                                    f"fault parameter {key!r} in {entry!r}")
     return Fault(kind=kind, **params)
 
 
@@ -165,11 +175,7 @@ class FaultPlan:
             if not entry:
                 continue
             if entry.startswith("seed="):
-                try:
-                    seed = int(entry[len("seed="):])
-                except ValueError:
-                    raise ConfigurationError(
-                        f"chaos seed expects an integer, got {entry!r}")
+                seed = from_text(integer(), entry[len("seed="):], "chaos seed")
                 continue
             faults.append(_parse_entry(entry))
         if not faults:

@@ -20,22 +20,24 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro import config
 from repro.errors import ReproError
+from repro.schema import Invalid
 
 
 def add_knob_arguments(sub: argparse.ArgumentParser,
                        *knobs: config.Knob) -> None:
     """Attach the flags that override ``knobs`` for one invocation.
 
-    Help text comes from the registry; a value the knob's parser rejects
-    is a usage error.  The flag keeps its text — :func:`run_cli` exports it
+    Help text comes from the registry; a value the knob's kind rejects is
+    a usage error (a ``--chaos`` spec error exits 1, like a bad
+    ``REPRO_CHAOS``).  The flag keeps its text — :func:`run_cli` exports it
     to the environment, where the library reads it back.
     """
     for knob in knobs:
         def check(text: str, knob: config.Knob = knob) -> str:
             try:
-                knob.parse(text)
-            except ValueError as exc:
-                raise argparse.ArgumentTypeError(f"{exc}, got {text!r}")
+                knob.check(text, "value")
+            except Invalid as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
             return text
         sub.add_argument(knob.flag, dest=knob.name, type=check, default=None,
                          metavar=knob.metavar,

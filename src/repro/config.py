@@ -1,11 +1,12 @@
 """Runtime knobs: every ``REPRO_*`` environment variable, declared once.
 
-Each :class:`Knob` carries its variable's parser, default and description,
-whether the sweep cache keys on it and, if a command line can override it,
-its flag.  Derived from these declarations: :func:`fingerprint`, folded
-into every sweep cache key (:mod:`repro.sweeps.runner`); the knob flags,
-their help and their validation (:mod:`repro.cli`); and the README's knob
-table (``python -m repro.config``).  A malformed value raises a
+Each :class:`Knob` carries its variable's :mod:`repro.schema` kind, default
+and description, whether the sweep cache keys on it and, if a command line
+can override it, its flag.  Derived from these declarations:
+:func:`fingerprint`, folded into every sweep cache key
+(:mod:`repro.sweeps.runner`); the knob flags, their help and their
+validation (:mod:`repro.cli`); and the README's knob table (``python -m
+repro.config``).  A malformed value raises a
 :class:`~repro.errors.ConfigurationError` naming the variable, or the
 argument standing in for it, and the expected form.
 """
@@ -16,25 +17,28 @@ import contextlib
 import os
 from typing import Any, Callable, Iterator, Mapping, Optional
 
+from repro import schema
 from repro.errors import ConfigurationError
 
 
 class Knob:
     """One ``REPRO_*`` environment variable.
 
-    ``parse`` turns the variable's text, or an explicit argument standing in
-    for it, into the value, raising :class:`ValueError` ("must be ...")
-    when it cannot.  ``fingerprint`` knobs select a compute path whose
-    payloads are only contractually identical, so the sweep cache keys on
-    their effective value.  ``flag`` overrides the variable for one
-    invocation of a console script.
+    ``kind``, a :mod:`repro.schema` kind, reads the variable's text
+    (:func:`repro.schema.from_text`) or checks an explicit argument
+    standing in for it, and raises a
+    :class:`~repro.errors.ConfigurationError` naming the variable or
+    argument when it cannot.  ``fingerprint`` knobs select
+    a compute path whose payloads are only contractually identical, so the
+    sweep cache keys on their effective value.  ``flag`` overrides the
+    variable for one invocation of a console script.
     """
 
-    def __init__(self, name: str, parse: Callable[[Any], Any], default: Any,
-                 doc: str, *, fingerprint: bool = False,
+    def __init__(self, name: str, kind: Callable[[Any, str], Any],
+                 default: Any, doc: str, *, fingerprint: bool = False,
                  flag: Optional[str] = None, metavar: Optional[str] = None):
         self.name = name
-        self.parse = parse
+        self.kind = kind
         self.default = default
         self.doc = doc
         self.fingerprint = fingerprint
@@ -54,13 +58,8 @@ class Knob:
         return value
 
     def check(self, value: Any, label: str) -> Any:
-        """``value`` parsed like the variable; errors name ``label``."""
-        try:
-            return self.parse(value)
-        except ValueError as exc:
-            raise ConfigurationError(f"{label} {exc}, got {value!r}") from None
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{label}: {exc}") from None
+        """``value`` read like the variable; errors name ``label``."""
+        return schema.from_text(self.kind, value, label)
 
     def resolve(self, value: Any, label: str) -> Any:
         """An explicit argument checked like the variable, or, when it is
@@ -76,67 +75,23 @@ def render(value: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsers.
+# Kinds the schema does not declare.
 # ---------------------------------------------------------------------------
-def _integer(minimum: int) -> Callable[[Any], int]:
-    def parse(value: Any) -> int:
-        try:
-            number = int(value)
-            if number >= minimum:
-                return number
-        except (TypeError, ValueError):
-            pass
-        raise ValueError(f"must be an integer >= {minimum}")
-    return parse
+_count = schema.integer(0, convert=int)
 
 
-def _positive_seconds(value: Any) -> float:
+def _workers(value: Any, where: str) -> Any:
     try:
-        seconds = float(value)
-        if seconds > 0:  # also rejects NaN
-            return seconds
-    except (TypeError, ValueError):
-        pass
-    raise ValueError("must be a number of seconds > 0")
+        return value if value == "auto" else _count(value, where)
+    except schema.Invalid:
+        schema.fail(value, where, "an integer >= 0 or 'auto'")
 
 
-_SWITCH = {"1": True, "true": True, "on": True, "yes": True,
-           "0": False, "false": False, "off": False, "no": False}
+_workers.read = lambda spelling: ("auto" if spelling.strip().lower() == "auto"
+                                  else int(spelling))
 
 
-def _switch(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    try:
-        return _SWITCH[str(value).strip().lower()]
-    except KeyError:
-        raise ValueError("must be one of 1/0, true/false, on/off, "
-                         "yes/no") from None
-
-
-def _choice(*choices: str) -> Callable[[Any], str]:
-    def parse(value: Any) -> str:
-        text = str(value).strip().lower()
-        if text not in choices:
-            raise ValueError(f"must be one of {', '.join(choices)}")
-        return text
-    return parse
-
-
-def _workers(value: Any):
-    text = str(value).strip().lower()
-    if text == "auto":
-        return "auto"
-    try:
-        workers = int(text)
-        if workers >= 0:
-            return workers
-    except ValueError:
-        pass
-    raise ValueError("must be an integer >= 0 or 'auto'")
-
-
-def _generation(value: Any) -> int:
+def _generation(value: Any, where: str) -> int:
     # Written by the sweep runner itself; an unreadable value is generation 0.
     try:
         return int(value)
@@ -144,11 +99,16 @@ def _generation(value: Any) -> int:
         return 0
 
 
-def _fault_plan(value: Any):
-    # The spec grammar lives with the injection sites.
+def _fault_plan(value: Any, where: str):
+    # The spec grammar lives with the injection sites.  Its errors stay plain
+    # ConfigurationErrors, not Invalid, so a bad --chaos exits 1 through
+    # repro.cli.run_cli, as a bad REPRO_CHAOS does.
     from repro.chaos.plan import FaultPlan
 
-    return FaultPlan.from_spec(value)
+    try:
+        return FaultPlan.from_spec(value)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -158,26 +118,27 @@ def _fault_plan(value: Any):
 TRACE_LEVELS = ("full", "summary")
 
 CORE_FASTFORWARD = Knob(
-    "REPRO_CORE_FASTFORWARD", _switch, True, fingerprint=True,
+    "REPRO_CORE_FASTFORWARD", schema.flag, True, fingerprint=True,
     doc="vectorized fast-forward session core; off runs the chunked event "
         "loop, with identical payloads")
 FLEET_TRACE_LEVEL = Knob(
-    "REPRO_FLEET_TRACE_LEVEL", _choice(*TRACE_LEVELS), "full",
+    "REPRO_FLEET_TRACE_LEVEL", schema.choice(*TRACE_LEVELS), "full",
     fingerprint=True, flag="--trace-level",
     metavar="{" + ",".join(TRACE_LEVELS) + "}",
     doc="per-session trace detail: 'summary' keeps aggregates only, so very "
         "large fleets fit in memory; payloads are identical")
 FLEET_SHARDS = Knob(
-    "REPRO_FLEET_SHARDS", _integer(1), 1, fingerprint=True, flag="--shards",
-    metavar="N",
+    "REPRO_FLEET_SHARDS", schema.integer(1, convert=int), 1, fingerprint=True,
+    flag="--shards", metavar="N",
     doc="worker processes each fleet runs across (repro.scenarios.shard); "
         "payloads are identical at any count")
 SHARD_RESTARTS = Knob(
-    "REPRO_SHARD_RESTARTS", _integer(0), 3,
+    "REPRO_SHARD_RESTARTS", _count, 3,
     doc="supervised shard restarts per fleet before the run fails (0 "
         "disables restarts)")
 SHARD_HEARTBEAT_SECONDS = Knob(
-    "REPRO_SHARD_HEARTBEAT_SECONDS", _positive_seconds, 60.0,
+    "REPRO_SHARD_HEARTBEAT_SECONDS", schema.real(gt=0.0, convert=float),
+    60.0,
     doc="silence after which a shard that is neither done nor awaiting a "
         "grant is declared dead and restarted")
 SWEEP_WORKERS = Knob(
@@ -185,10 +146,10 @@ SWEEP_WORKERS = Knob(
     doc="sweep worker processes, or 'auto' to size from the CPU count; "
         "payloads are identical at any count")
 SWEEP_RETRIES = Knob(
-    "REPRO_SWEEP_RETRIES", _integer(0), 2,
+    "REPRO_SWEEP_RETRIES", _count, 2,
     doc="extra process-pool attempts after a sweep worker process dies")
 SWEEP_CACHE = Knob(
-    "REPRO_SWEEP_CACHE", str, None,
+    "REPRO_SWEEP_CACHE", schema.text, None,
     doc="per-cell result cache directory of the paper-figure benches "
         "(benchmarks/)")
 CHAOS = Knob(
@@ -197,7 +158,7 @@ CHAOS = Knob(
         "'shard_crash:shard=0,at=2', plus optional 'seed=N'; recovery must "
         "reproduce the fault-free payloads")
 CHAOS_LOG = Knob(
-    "REPRO_CHAOS_LOG", str, None,
+    "REPRO_CHAOS_LOG", schema.text, None,
     doc="file the chaos harness appends its JSON-lines injection and "
         "recovery log to")
 CHAOS_INCARNATION = Knob(

@@ -79,7 +79,8 @@ GrantFn = Callable[[bool], None]
 
 @dataclass
 class _PoolState:
-    """Mutable per-``(gpu, region)`` accounting."""
+    """Mutable per-``(gpu, region)`` accounting, with the FIFO of queued
+    replacement requests."""
 
     capacity: int
     in_use: int = 0
@@ -87,11 +88,16 @@ class _PoolState:
     warm: int = 0
     peak_in_use: int = 0
     peak_warm: int = 0
+    waiters: Deque["_Waiter"] = field(default_factory=deque)
 
     @property
     def available(self) -> int:
         """Cold slots free right now (warm servers counted separately)."""
         return self.capacity - self.in_use - self.reclaimed - self.warm
+
+    @property
+    def waiting(self) -> int:
+        return len(self.waiters)
 
     def take(self) -> None:
         self.in_use += 1
@@ -118,43 +124,35 @@ class CellSnapshot:
     available: int
     waiting: int
 
-    @property
-    def acquirable(self) -> int:
-        """Slots a request could take right now: cold free plus warm."""
-        return self.available + self.warm
 
+class _PoolReads:
+    """The read API a live :class:`TransientPool` and its
+    :class:`PoolSnapshot` share, so the placement advisor (and anything
+    else duck-typed against the pool) can score against either.
 
-@dataclass(frozen=True)
-class PoolSnapshot:
-    """Read-only view of a :class:`TransientPool` at one state version.
-
-    Mirrors the live pool's read API method for method, so the placement
-    advisor (and anything else duck-typed against the pool) can score
-    against either interchangeably — but a snapshot never changes: pool
-    transitions after it was taken are visible only through a higher
-    :attr:`TransientPool.version`, never through the snapshot itself.
+    Each reader answers from ``_states``, the class's per-``(gpu, region)``
+    views: live :class:`_PoolState` counters or frozen
+    :class:`CellSnapshot` ones.  A cell the pool lacks raises
+    :class:`~repro.errors.CapacityError`.
     """
 
-    version: int
-    _cells: Dict[PoolKey, CellSnapshot] = field(repr=False)
-
-    def _cell(self, gpu_name: str, region_name: str) -> CellSnapshot:
-        key = (gpu_name, region_name)
-        if key not in self._cells:
+    def _cell(self, gpu_name: str, region_name: str):
+        try:
+            return self._states[gpu_name, region_name]
+        except KeyError:
             raise CapacityError(f"the pool has no {gpu_name!r} capacity in "
-                                f"{region_name!r}")
-        return self._cells[key]
+                                f"{region_name!r}") from None
 
     def cells(self) -> Tuple[PoolKey, ...]:
         """All ``(gpu, region)`` cells of the pool, sorted."""
-        return tuple(sorted(self._cells))
+        return tuple(sorted(self._states))
 
     def capacity(self, gpu_name: str, region_name: str) -> int:
         """Configured capacity of a ``(gpu, region)`` cell."""
         return self._cell(gpu_name, region_name).capacity
 
     def available(self, gpu_name: str, region_name: str) -> int:
-        """Free *cold* slots for a ``(gpu, region)`` cell at snapshot time."""
+        """Free *cold* slots for a ``(gpu, region)`` cell."""
         return self._cell(gpu_name, region_name).available
 
     def warm_count(self, gpu_name: str, region_name: str) -> int:
@@ -162,16 +160,30 @@ class PoolSnapshot:
         return self._cell(gpu_name, region_name).warm
 
     def acquirable(self, gpu_name: str, region_name: str) -> int:
-        """Slots a request could take at snapshot time: cold free plus warm."""
-        return self._cell(gpu_name, region_name).acquirable
+        """Slots a request could take: cold free plus warm."""
+        cell = self._cell(gpu_name, region_name)
+        return cell.available + cell.warm
 
     def in_use(self, gpu_name: str, region_name: str) -> int:
-        """Slots occupied by running servers at snapshot time."""
+        """Slots occupied by running servers."""
         return self._cell(gpu_name, region_name).in_use
 
     def pending_waiters(self, gpu_name: str, region_name: str) -> int:
         """Queued replacement requests for a ``(gpu, region)`` cell."""
         return self._cell(gpu_name, region_name).waiting
+
+
+@dataclass(frozen=True)
+class PoolSnapshot(_PoolReads):
+    """Read-only view of a :class:`TransientPool` at one state version.
+
+    It answers the live pool's reads, but never changes: pool transitions
+    after it was taken are visible only through a higher
+    :attr:`TransientPool.version`, never through the snapshot itself.
+    """
+
+    version: int
+    _states: Dict[PoolKey, CellSnapshot] = field(repr=False)
 
 
 class _WarmServer:
@@ -232,7 +244,7 @@ class ReplacementTicket:
         return removed
 
 
-class TransientPool:
+class TransientPool(_PoolReads):
     """Shared finite transient-server capacity for a fleet of jobs.
 
     Args:
@@ -267,8 +279,6 @@ class TransientPool:
             if count <= 0:
                 raise ConfigurationError(f"pool capacity for {key} must be positive")
             self._states[key] = _PoolState(capacity=int(count))
-        self._waiters: Dict[PoolKey, Deque[_Waiter]] = {
-            key: deque() for key in self._states}
         self._warm: Dict[PoolKey, Deque[_WarmServer]] = {
             key: deque() for key in self._states}
         self.launches = 0
@@ -308,51 +318,15 @@ class TransientPool:
             key: CellSnapshot(capacity=state.capacity, in_use=state.in_use,
                               reclaimed=state.reclaimed, warm=state.warm,
                               available=state.available,
-                              waiting=len(self._waiters[key]))
+                              waiting=state.waiting)
             for key, state in self._states.items()}
-        snapshot = PoolSnapshot(version=self._version, _cells=cells)
+        snapshot = PoolSnapshot(version=self._version, _states=cells)
         self._snapshot = snapshot
         return snapshot
     @property
     def warm_enabled(self) -> bool:
         """Whether the warm-reuse path is active."""
         return self.warm_capacity > 0 and self.warm_seconds > 0
-
-    def _state(self, gpu_name: str, region_name: str) -> _PoolState:
-        key = (gpu_name, region_name)
-        if key not in self._states:
-            raise CapacityError(f"the pool has no {gpu_name!r} capacity in "
-                                f"{region_name!r}")
-        return self._states[key]
-
-    def cells(self) -> Tuple[PoolKey, ...]:
-        """All ``(gpu, region)`` cells of the pool, sorted."""
-        return tuple(sorted(self._states))
-
-    def capacity(self, gpu_name: str, region_name: str) -> int:
-        """Configured capacity of a ``(gpu, region)`` cell."""
-        return self._state(gpu_name, region_name).capacity
-
-    def available(self, gpu_name: str, region_name: str) -> int:
-        """Free *cold* slots for a ``(gpu, region)`` cell right now."""
-        return self._state(gpu_name, region_name).available
-
-    def warm_count(self, gpu_name: str, region_name: str) -> int:
-        """Warm (still running, re-acquirable) servers in a cell."""
-        return self._state(gpu_name, region_name).warm
-
-    def acquirable(self, gpu_name: str, region_name: str) -> int:
-        """Slots a request could take right now: cold free plus warm."""
-        state = self._state(gpu_name, region_name)
-        return state.available + state.warm
-
-    def in_use(self, gpu_name: str, region_name: str) -> int:
-        """Slots currently occupied by running servers."""
-        return self._state(gpu_name, region_name).in_use
-
-    def pending_waiters(self, gpu_name: str, region_name: str) -> int:
-        """Queued replacement requests for a ``(gpu, region)`` cell."""
-        return len(self._waiters[(gpu_name, region_name)])
 
     # ------------------------------------------------------------------
     # Slot lifecycle.
@@ -392,7 +366,7 @@ class TransientPool:
                 validate initial demand up front, so this only fires on
                 direct misuse of the pool.
         """
-        self._state(gpu_name, region_name)
+        self._cell(gpu_name, region_name)
         warm = self._try_take((gpu_name, region_name))
         if warm is None:
             raise CapacityError(
@@ -402,7 +376,7 @@ class TransientPool:
 
     def release(self, gpu_name: str, region_name: str) -> None:
         """Return a slot whose server terminated normally (job completed)."""
-        state = self._state(gpu_name, region_name)
+        state = self._cell(gpu_name, region_name)
         if state.in_use <= 0:
             raise CapacityError(f"release without a matching acquire for "
                                 f"({gpu_name}, {region_name})")
@@ -419,7 +393,7 @@ class TransientPool:
         enabled and has room, else as cold capacity — at which point queued
         replacement requests are served FIFO.
         """
-        state = self._state(gpu_name, region_name)
+        state = self._cell(gpu_name, region_name)
         if state.in_use <= 0:
             raise CapacityError(f"revocation without a live server for "
                                 f"({gpu_name}, {region_name})")
@@ -486,7 +460,7 @@ class TransientPool:
             with :meth:`ReplacementTicket.cancel` (e.g. when the requesting
             session finishes while still waiting).
         """
-        self._state(gpu_name, region_name)
+        state = self._cell(gpu_name, region_name)
         key = (gpu_name, region_name)
         self.replacement_requests += 1
         warm = self._try_take(key)
@@ -499,7 +473,7 @@ class TransientPool:
         if queue:
             self.replacements_queued += 1
             waiter = _Waiter(label, grant)
-            self._waiters[key].append(waiter)
+            state.waiters.append(waiter)
             self._bump()
             return ReplacementTicket(QUEUED, key, pool=self, waiter=waiter)
         self.replacements_denied += 1
@@ -507,7 +481,7 @@ class TransientPool:
 
     def _cancel_waiter(self, key: PoolKey, waiter: _Waiter) -> bool:
         """Remove a queued waiter; True when it was still queued."""
-        waiters = self._waiters[key]
+        waiters = self._states[key].waiters
         if waiter not in waiters:
             return False
         waiters.remove(waiter)
@@ -517,7 +491,7 @@ class TransientPool:
 
     def _serve(self, key: PoolKey) -> None:
         """Hand freed slots to queued replacement requests, FIFO."""
-        waiters = self._waiters[key]
+        waiters = self._states[key].waiters
         while waiters:
             warm = self._try_take(key)
             if warm is None:
@@ -582,7 +556,7 @@ class TransientPool:
                 "in_use": state.in_use,
                 "reclaimed": state.reclaimed,
                 "peak_in_use": state.peak_in_use,
-                "waiting": len(self._waiters[(gpu, region)]),
+                "waiting": state.waiting,
             }
             if self.warm_enabled:
                 cell["warm"] = state.warm

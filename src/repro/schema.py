@@ -1,6 +1,9 @@
 """Document schemas: a JSON document's dataclass declares each field's *kind* (:func:`declare`),
 checked alike by ``__post_init__`` (:func:`check`) and :func:`parse`, which raise :class:`Invalid`.
 
+A kind also has a text spelling, which :func:`from_text` reads for the ``REPRO_*`` knobs
+(:mod:`repro.config`), their flags and the chaos spec's ``key=value`` parameters.
+
 A kind converts a value only where its class always did (a query's ``float`` and ``int`` fields,
 pool counts, wrapped and binned hours, tuples): a scenario's ``to_params()`` keys each sweep
 cell's cache entry and RNG seed, so ``"reclaim_seconds": 1800`` must still encode as ``1800``.
@@ -53,31 +56,54 @@ def real(ge=-math.inf, le=math.inf, *, gt=None, convert=None, integral=False) ->
                 or open_low and value == low):
             fail(value, where, expected)
         return value if convert is None else convert(value)
+    kind.read = int if integral else float
     return kind
 
 
 integer = functools.partial(real, integral=True)
 
 
-def _kind(expected: str, accept: Callable[[Any], Any]):
+def _kind(expected: str, accept: Callable[[Any], Any], read=None):
     def kind(value, where):
         if not accept(value):
             fail(value, where, expected)
         return value
+    kind.read = read
     return kind
 
 
 text = _kind("a string", lambda value: isinstance(value, str))
 nonempty_text = _kind("a non-empty string", lambda value: isinstance(value, str) and value != "")
-flag = _kind("true or false", lambda value: type(value) is bool)
+_FLAG_WORDS = {"1": True, "true": True, "on": True, "yes": True,
+               "0": False, "false": False, "off": False, "no": False}
+flag = _kind("true or false", lambda value: type(value) is bool,
+             read=lambda spelling: _FLAG_WORDS[spelling.strip().lower()])
 
 
 def choice(*names: str):
-    return _kind("one of " + ", ".join(names), lambda value: value in names)
+    return _kind("one of " + ", ".join(names), lambda value: value in names,
+                 read=lambda spelling: spelling.strip().lower())
 
 
 def optional(kind: Callable):
-    return lambda value, where: None if value is None else kind(value, where)
+    def optional_kind(value, where):
+        return None if value is None else kind(value, where)
+    optional_kind.read = getattr(kind, "read", None)
+    return optional_kind
+
+
+def from_text(kind: Callable, text: Any, where: str) -> Any:
+    """``kind`` applied to ``text``, a command-line or environment spelling: ``integer`` reads it
+    with ``int``, ``real`` with ``float``, ``flag`` from 1/0, true/false, on/off or yes/no, and
+    ``choice`` stripped and lowercased.  A spelling that does not convert, and a value that is not
+    a string, reaches the kind unchanged, so the kind rejects it naming ``where``."""
+    read = getattr(kind, "read", None)
+    if read is not None and isinstance(text, str):
+        try:
+            text = read(text)
+        except (KeyError, ValueError):
+            pass
+    return kind(text, where)
 
 
 def sequence(item: Callable, *, low: int = 0, high: float = math.inf, convert=tuple):

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import random
 import time
 from dataclasses import dataclass
@@ -65,6 +64,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro import chaos
 from repro.errors import ConfigurationError, ReproError
 from repro.modeling.placement import PlacementQuery
+from repro.schema import integer, real
 from repro.serve.service import PlacementService
 
 #: Maximum request-line length (a MAX_BATCH_QUERIES batch fits
@@ -104,13 +104,8 @@ class ServerConfig:
     max_connections: int = 64
 
     def __post_init__(self) -> None:
-        if not 0 < self.request_timeout < math.inf:
-            raise ConfigurationError(
-                f"request_timeout must be positive and finite, got "
-                f"{self.request_timeout}")
-        if self.max_connections < 1:
-            raise ConfigurationError(
-                f"max_connections must be >= 1, got {self.max_connections}")
+        real(gt=0.0)(self.request_timeout, "request_timeout")
+        integer(1)(self.max_connections, "max_connections")
 
 
 class ServerState:
@@ -374,7 +369,11 @@ async def request(host: str, port: int,
     response line per request (the server answers in order).  A
     connection that closes before every response arrives raises
     :class:`TransportError` (retryable — see :func:`request_with_retry`).
+    ``timeout`` is ``None`` (wait forever) or a number of seconds > 0.
     """
+    if timeout is not None and not timeout > 0:  # also rejects NaN
+        raise ConfigurationError(
+            f"timeout must be a number of seconds > 0 or None, got {timeout!r}")
     reader, writer = await asyncio.wait_for(
         asyncio.open_connection(host=host, port=port, limit=MAX_LINE_BYTES),
         timeout)
@@ -426,7 +425,8 @@ async def request_with_retry(host: str, port: int,
     Only batches whose every op is in :data:`IDEMPOTENT_OPS` are
     retried; anything else (``recalibrate``) gets exactly one attempt,
     because resending a mutation the server may already have applied is
-    worse than surfacing the fault.
+    worse than surfacing the fault.  A ``retries < 0``, or a ``timeout``
+    :func:`request` rejects, raises before any connection is opened.
     """
     if retries < 0:
         raise ConfigurationError(f"retries must be >= 0, got {retries}")

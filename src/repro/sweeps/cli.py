@@ -9,8 +9,10 @@ Usage::
 ``run`` executes a registered sweep; with ``--cache-dir`` every completed
 cell is persisted, so an interrupted run (or ``resume``, which requires a
 cache directory) picks up where it stopped.  ``--set axis=v1,v2``
-overrides an axis of the default spec.  ``--workers`` defaults to the
-``REPRO_SWEEP_WORKERS`` environment variable, as on ``repro-scenarios``.
+overrides an axis of the default spec with values of the same JSON
+types (:meth:`~repro.sweeps.spec.SweepSpec.with_axes`).  ``--workers``
+defaults to the ``REPRO_SWEEP_WORKERS`` environment variable, as on
+``repro-scenarios``.
 """
 
 from __future__ import annotations

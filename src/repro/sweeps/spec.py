@@ -38,6 +38,16 @@ def canonical_json(value: Any) -> str:
             f"sweep parameters must be JSON-encodable: {exc}") from exc
 
 
+def _json_type(value: Any) -> str:
+    """The JSON type a parameter value encodes as (a bool is not a number)."""
+    for types, name in ((bool, "boolean"), (int, "integer"), (float, "number"),
+                        (str, "string"), ((list, tuple), "array"),
+                        (dict, "object")):
+        if isinstance(value, types):
+            return name
+    return "null" if value is None else type(value).__name__
+
+
 @dataclass(frozen=True)
 class SweepCell:
     """One point of a sweep's parameter grid.
@@ -188,11 +198,25 @@ class SweepSpec:
         return expanded
 
     def with_axes(self, **overrides: Sequence[Any]) -> "SweepSpec":
-        """A copy of this spec with some axes replaced (CLI ``--set``)."""
+        """A copy of this spec with some axes replaced (CLI ``--set``).
+
+        Each new value must have a JSON type among those of the values it
+        replaces (an integer may stand in for a number), so a misspelled
+        value fails here, before any cell runs.
+        """
         unknown = set(overrides) - set(self.axes)
         if unknown:
             raise ConfigurationError(
                 f"unknown axes {sorted(unknown)}; spec has {list(self.axes)}")
+        for name, values in overrides.items():
+            accepted = {_json_type(value) for value in self.axes[name]}
+            if "number" in accepted:
+                accepted.add("integer")
+            for value in values:
+                if _json_type(value) not in accepted:
+                    raise ConfigurationError(
+                        f"axis {name!r} takes {' or '.join(sorted(accepted))} "
+                        f"values, got {value!r}")
         axes = dict(self.axes)
         axes.update({name: list(values) for name, values in overrides.items()})
         return SweepSpec(self.name, axes, self.fixed)

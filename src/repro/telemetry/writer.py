@@ -105,23 +105,17 @@ class TelemetryConfig:
 class JobStepSink(TraceSink):
     """The :class:`~repro.training.trace.TraceSink` face of one job's spool.
 
-    Forwards every row to the owning :class:`JobTelemetry` buffer and keeps
-    the cheap aggregate counters the sink read surface requires (it is only
-    ever a tee *secondary*, so these are rarely consulted).
+    Forwards every row to the owning :class:`JobTelemetry` buffer.  It is
+    only ever a tee *secondary*, and a :class:`~repro.training.trace.TeeSink`
+    answers ``len``, ``steps_total`` and ``max_end_time`` from its primary,
+    so it keeps no counters of its own.
     """
 
     def __init__(self, job: "JobTelemetry"):
         self._job = job
-        self._rows = 0
-        self._steps_total = 0
-        self._max_end = 0.0
 
     def append_row(self, worker_id: str, start_time: float, end_time: float,
                    steps: int, cluster_step: int, worker_step: int = 0) -> None:
-        self._rows += 1
-        self._steps_total += steps
-        if end_time > self._max_end:
-            self._max_end = end_time
         self._job.record_step(worker_id, start_time, end_time, steps,
                               cluster_step, worker_step)
 
@@ -134,23 +128,8 @@ class JobStepSink(TraceSink):
             raise DataError("extend_rows requires equally sized columns")
         record = self._job.record_step
         for j in range(n):
-            self._rows += 1
-            self._steps_total += steps[j]
-            if end_times[j] > self._max_end:
-                self._max_end = end_times[j]
             record(worker_ids[j], start_times[j], end_times[j], steps[j],
                    cluster_steps[j], worker_steps[j])
-
-    def __len__(self) -> int:
-        return self._rows
-
-    @property
-    def steps_total(self) -> int:
-        return self._steps_total
-
-    @property
-    def max_end_time(self) -> float:
-        return self._max_end
 
     @property
     def nbytes(self) -> int:

@@ -234,11 +234,6 @@ class StepRecordArray(TraceSink, Sequence):
     # ------------------------------------------------------------------
     # Mutation.
     # ------------------------------------------------------------------
-    def append(self, record: StepRecord) -> None:
-        """Append one :class:`StepRecord` (list-compatible API)."""
-        self.append_row(record.worker_id, record.start_time, record.end_time,
-                        record.steps, record.cluster_step, record.worker_step)
-
     def append_row(self, worker_id: str, start_time: float, end_time: float,
                    steps: int, cluster_step: int, worker_step: int = 0) -> None:
         """Append one row from scalars, skipping StepRecord construction."""
@@ -418,10 +413,6 @@ class StepRecordSummary(TraceSink):
         self._worker_steps: Dict[str, int] = {}
 
     # -- mutation (mirrors the StepRecordArray write surface) ----------
-    def append(self, record: StepRecord) -> None:
-        self.append_row(record.worker_id, record.start_time, record.end_time,
-                        record.steps, record.cluster_step, record.worker_step)
-
     def append_row(self, worker_id: str, start_time: float, end_time: float,
                    steps: int, cluster_step: int, worker_step: int = 0) -> None:
         del cluster_step
@@ -515,10 +506,6 @@ class TeeSink(TraceSink):
     def __init__(self, primary: TraceSink, *secondaries: TraceSink):
         self.primary = primary
         self.sinks: Tuple[TraceSink, ...] = (primary,) + tuple(secondaries)
-
-    def append(self, record: StepRecord) -> None:
-        for sink in self.sinks:
-            sink.append(record)
 
     def append_row(self, worker_id: str, start_time: float, end_time: float,
                    steps: int, cluster_step: int, worker_step: int = 0) -> None:

@@ -47,6 +47,11 @@ def test_spec_round_trips():
     first = plan.faults[0]
     assert (first.kind, first.shard, first.at) == ("shard_crash", 0, 2)
     assert plan.faults[2].seconds == 1.5
+    # Floats are written with repr, so no digit is lost on the way back.
+    long_hang = FaultPlan.from_spec("serve_hang:seconds=1234567.5")
+    assert long_hang.to_spec() == "serve_hang:seconds=1234567.5"
+    assert FaultPlan.from_spec(long_hang.to_spec()).faults[0].seconds == \
+        1234567.5
 
 
 @pytest.mark.parametrize("bad", [
@@ -54,10 +59,24 @@ def test_spec_round_trips():
     "shard_crash:shard=-1", "shard_crash:at", "shard_crash:nope=1",
     "shard_crash:at=soon", "seed=pi;shard_crash",
     "serve_hang:seconds=nan", "serve_hang:seconds=-5", "serve_hang:seconds=0",
+    "shard_crash:at=2.0", "shard_crash:kind=drop_grant", "SHARD_CRASH",
 ])
 def test_malformed_specs_are_configuration_errors(bad):
     with pytest.raises(ConfigurationError):
         FaultPlan.from_spec(bad)
+
+
+def test_spec_parameters_are_read_with_the_fault_field_kinds():
+    with pytest.raises(ConfigurationError,
+                       match=r"fault parameter 'at' in 'shard_crash:at=soon' "
+                             r"must be an integer >= 1, got 'soon'"):
+        FaultPlan.from_spec("shard_crash:at=soon")
+    with pytest.raises(ConfigurationError,
+                       match="chaos seed must be an integer, got 'pi'"):
+        FaultPlan.from_spec("seed=pi;shard_crash")
+    plan = FaultPlan.from_spec("serve_hang: at = +3 , seconds = 1e3 ;seed=-2")
+    assert plan.faults == (Fault("serve_hang", at=3, seconds=1000.0),)
+    assert plan.seed == -2
 
 
 def test_fault_matching_semantics():

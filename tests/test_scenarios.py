@@ -300,16 +300,17 @@ def test_snapshot_reads_match_the_live_pool():
     pool.request_replacement("v100", "europe-west1", lambda warm: None)
     snapshot = pool.snapshot()
     assert snapshot.cells() == pool.cells()
+    readers = ("capacity", "available", "warm_count", "acquirable", "in_use",
+               "pending_waiters")
     for gpu, region in pool.cells():
-        for reader in ("capacity", "available", "warm_count", "acquirable",
-                       "in_use", "pending_waiters"):
+        for reader in readers:
             assert getattr(snapshot, reader)(gpu, region) == \
                 getattr(pool, reader)(gpu, region), (reader, gpu, region)
-    # Unknown cells fail identically on both sides.
-    with pytest.raises(CapacityError, match="no 'p100' capacity"):
-        pool.available("p100", "us-west1")
-    with pytest.raises(CapacityError, match="no 'p100' capacity"):
-        snapshot.available("p100", "us-west1")
+    # Unknown cells fail identically on both sides, for every reader.
+    for view in (pool, snapshot):
+        for reader in readers:
+            with pytest.raises(CapacityError, match="no 'p100' capacity"):
+                getattr(view, reader)("p100", "us-west1")
 
 
 # ---------------------------------------------------------------------------

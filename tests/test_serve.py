@@ -296,8 +296,9 @@ def test_health_op_merges_transport_queue_depth():
 def test_server_config_validation():
     with pytest.raises(ConfigurationError):
         ServerConfig(request_timeout=0)
-    with pytest.raises(ConfigurationError):
-        ServerConfig(max_connections=0)
+    for count in (0, 2.5, True):
+        with pytest.raises(ConfigurationError, match="^max_connections must"):
+            ServerConfig(max_connections=count)
 
 
 def test_non_finite_request_timeout_is_a_one_line_diagnostic(capsys):
@@ -710,6 +711,36 @@ def test_retry_rejects_negative_budget():
     with pytest.raises(ConfigurationError):
         asyncio.run(request_with_retry("127.0.0.1", 1, [{"op": "stats"}],
                                        retries=-1))
+
+
+def test_client_timeout_must_be_positive_or_none(capsys):
+    from repro.serve.cli import main
+
+    for timeout in (float("nan"), 0, -1.0):
+        for client in (request, request_with_retry):
+            with pytest.raises(ConfigurationError, match="^timeout must be"):
+                asyncio.run(client("127.0.0.1", 1, [{"op": "stats"}],
+                                   timeout=timeout))
+    code = main(["query", "k80", "--duration", "2", "--utc-hour", "9",
+                 "--connect", "127.0.0.1:1", "--timeout", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: timeout must be")
+    assert len(captured.err.strip().splitlines()) == 1
+
+    async def scenario():
+        server = await start_server(make_service())
+        host, port = serve_address(server)
+        try:
+            return [await client(host, port, [{"op": "health"}],
+                                 timeout=timeout)
+                    for client in (request, request_with_retry)
+                    for timeout in (None, float("inf"))]
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    assert all(responses[0]["ok"] for responses in asyncio.run(scenario()))
 
 
 def test_query_connect_refused_is_a_one_line_diagnostic(capsys):

@@ -94,6 +94,19 @@ def test_spec_with_axes_override():
         spec.with_axes(z=[1])
 
 
+def test_axis_overrides_keep_the_json_types_they_replace():
+    spec = SweepSpec("probe", axes={"count": [1, 2], "scale": [0.5],
+                                    "gpu": ["k80"], "on": [True]})
+    widened = spec.with_axes(scale=[2, 0.25], count=[3], gpu=["p100"],
+                             on=[False])
+    assert widened.axes["scale"] == [2, 0.25]
+    for name, value in (("count", "nan"), ("count", 2.5), ("count", True),
+                        ("scale", "1"), ("gpu", 80), ("on", 1)):
+        with pytest.raises(ConfigurationError,
+                           match=f"axis {name!r} takes .* values, got"):
+            spec.with_axes(**{name: [value]})
+
+
 # ---------------------------------------------------------------------------
 # Deterministic per-cell seeding.
 # ---------------------------------------------------------------------------
@@ -397,3 +410,15 @@ def test_cli_list_and_run(tmp_path, capsys):
     assert "2 cells" in capsys.readouterr().out
     with pytest.raises(SystemExit):
         main(["run", "replacement_startup", "--workers", "lots"])
+
+
+def test_cli_set_value_of_the_wrong_type_stops_before_any_cell(capsys,
+                                                              monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the runner started")
+
+    monkeypatch.setattr(SweepRunner, "run", no_run)
+    assert main(["run", "cluster_scaling", "--set", "count=nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: axis 'count' takes integer values, got 'nan'\n"
